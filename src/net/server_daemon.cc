@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "common/format.h"
 #include "common/rng.h"
@@ -14,11 +15,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace_export.h"
-#include "server/broadcast_server.h"
-#include "server/exec/txn_processor.h"
-#include "server/mc_overlay.h"
-#include "server/validator.h"
-#include "sim/workload.h"
+#include "server/server_cycle.h"
 
 namespace bcc {
 
@@ -37,6 +34,19 @@ void AppendChannelStatsJson(JsonWriter& w, const ChannelStats& ch) {
   w.Key("tracker_desyncs").Value(ch.tracker_desyncs);
   w.Key("loss_attributed_aborts").Value(ch.loss_attributed_aborts);
   w.EndObject();
+}
+
+/// Whether an UPDATE stays inside the session: object ids < n, no object
+/// written twice, no read from a cycle after `current`. The validator and
+/// the MC overlay index their tables by these ids unchecked.
+bool WellFormedUpdate(const UpdateMsg& update, uint32_t num_objects, Cycle current) {
+  for (const ReadRecord& r : update.reads) {
+    if (r.object >= num_objects || r.cycle > current) return false;
+  }
+  std::vector<ObjectId> writes = update.writes;
+  std::sort(writes.begin(), writes.end());
+  return (writes.empty() || writes.back() < num_objects) &&
+         std::adjacent_find(writes.begin(), writes.end()) == writes.end();
 }
 
 /// Everything the daemon knows about one registered client.
@@ -59,8 +69,7 @@ class ServerDaemon {
   Status SetUpSocket();
   Status WaitForClients();
   Status BroadcastCycles();
-  Status ReplayCommitsForCycle(Cycle cycle);
-  void FlushBatch(Cycle cycle);
+  void CommitCycle(Cycle cycle);
   Status FanOutCycle(Cycle cycle);
   Status CollectStats();
   Status DrainUplink();
@@ -73,21 +82,11 @@ class ServerDaemon {
   NetConfig net_;
   SimConfig sim_;
 
-  // Engine (mirrors BroadcastSim::Run's server-side setup).
-  std::unique_ptr<ServerTxnManager> manager_;
-  std::unique_ptr<BroadcastServer> server_;
-  std::unique_ptr<ServerWorkload> workload_;
-  std::unique_ptr<TxnProcessor> processor_;
-  std::unique_ptr<UpdateValidator> validator_;
-  std::unique_ptr<McOverlay> overlay_;
-  std::vector<ServerTxn> pending_uplink_txns_;
-  std::vector<ServerTxn> pending_server_txns_;
+  // Engine: the same server cycle core as the in-process simulators.
+  std::unique_ptr<ServerCycle> core_;
   std::vector<ObjectId> touched_scratch_;
   std::optional<FrameCodec> codec_;
   std::vector<Frame> frame_scratch_;
-
-  // Commit replay clock: virtual time of the next server commit.
-  SimTime next_commit_vt_ = 0;
   TxnId next_uplink_id_ = 1u << 30;  ///< uplink txn ids, disjoint from workload ids
 
   // Transport.
@@ -107,6 +106,7 @@ class ServerDaemon {
   Counter* m_server_commits_ = nullptr;
   Counter* m_uplink_accepts_ = nullptr;
   Counter* m_uplink_rejects_ = nullptr;
+  Counter* m_uplink_malformed_ = nullptr;
   Counter* m_datagrams_ = nullptr;
   Counter* m_bytes_ = nullptr;
   Counter* m_slow_cycles_ = nullptr;
@@ -138,14 +138,11 @@ class ServerDaemon {
   std::vector<TraceRing*> client_rings_;
 
   // Decision log (NetConfig::decisions_out). `seq` is the store's commit
-  // order: assigned at the commit call in direct mode; assigned at the
-  // cycle fold in staged mode (uplink serial prefix first, then the server
-  // batch — the same order FlushBatch folds them).
+  // order as the core reports it; the log's records pick their seq up from
+  // `commit_seqs_` when the run ends.
   bool record_decisions_ = false;
   DecisionLog decisions_;
-  uint64_t next_commit_seq_ = 1;
-  std::vector<size_t> staged_uplink_decisions_;  ///< indices awaiting a seq
-  std::vector<size_t> staged_server_commits_;    ///< indices awaiting a seq
+  std::unordered_map<TxnId, uint64_t> commit_seqs_;
 
   WallClock wall_;
   ServerReport stats_;
@@ -161,47 +158,14 @@ Status ServerDaemon::SetUpEngine() {
     return Status::InvalidArgument(
         "the networked tier does not support sparse_compaction_period");
   }
-  // Sparse mode swaps the manager's representation only: the on-air bytes
-  // (EncodeCycleFramesInto packs the snapshot's sparse matrix byte-identically)
-  // and every client decision are unchanged.
-  const bool sparse_mode = sim_.matrix_mode == MatrixMode::kSparse;
-  TxnManagerOptions options;
-  options.maintain_f_matrix = !sparse_mode;
-  options.maintain_sparse_matrix = sparse_mode;
-  options.maintain_mc_vector = true;
-  options.track_dirty_columns = sim_.delta_broadcast;
-  manager_ = std::make_unique<ServerTxnManager>(sim_.num_objects, options);
-
-  server_ = std::make_unique<BroadcastServer>(sim_.num_objects, sim_.Geometry());
-  if (sim_.delta_broadcast) {
-    server_->EnableDeltaBroadcast(CycleStampCodec(sim_.timestamp_bits),
-                                  sim_.delta_refresh_period);
-  }
-
-  // Same RNG split discipline as BroadcastSim: the server workload takes the
-  // root's first split, so the daemon's commit stream is bit-identical to
-  // the DES oracle's for the same (seed, config).
+  // Same RNG split discipline as BroadcastSim, so the daemon's commit stream
+  // is bit-identical to the DES oracle's for the same (seed, config). The
+  // uplink validator is always armed: any client may submit updates.
   Rng root(sim_.seed);
-  workload_ = std::make_unique<ServerWorkload>(sim_, root.Split());
-  next_commit_vt_ = workload_->NextInterval();
-
-  if (sim_.update_scheme != UpdateScheme::kSequential) {
-    processor_ = std::make_unique<TxnProcessor>(sim_.num_objects, sim_.update_scheme,
-                                                sim_.update_workers);
-    manager_->SetParallelFold(
-        [this](uint32_t shards, const std::function<void(uint32_t)>& body) {
-          processor_->RunShards(shards, body);
-        },
-        sim_.update_workers);
-  }
-
-  // The uplink validator is always armed: any client may submit updates.
-  validator_ = std::make_unique<UpdateValidator>(manager_.get());
-  if (processor_ != nullptr) {
-    overlay_ = std::make_unique<McOverlay>(sim_.num_objects);
-    validator_->AttachStagedMode(overlay_.get(), [this](ServerTxn&& txn) {
-      pending_uplink_txns_.push_back(std::move(txn));
-    });
+  BCC_ASSIGN_OR_RETURN(core_, ServerCycle::Create(sim_, root, /*uplink=*/true));
+  if (record_decisions_) {
+    core_->set_commit_observer(
+        [this](TxnId id) { commit_seqs_.emplace(id, commit_seqs_.size() + 1); });
   }
 
   codec_.emplace(CycleStampCodec(sim_.timestamp_bits), sim_.channel_frame_bits);
@@ -223,6 +187,7 @@ void ServerDaemon::SetUpTelemetry() {
   m_server_commits_ = registry_->AddCounter("server.commits");
   m_uplink_accepts_ = registry_->AddCounter("uplink.accepts");
   m_uplink_rejects_ = registry_->AddCounter("uplink.rejects");
+  m_uplink_malformed_ = registry_->AddCounter("uplink.malformed");
   m_datagrams_ = registry_->AddCounter("net.datagrams_sent");
   m_bytes_ = registry_->AddCounter("net.bytes_sent");
   m_slow_cycles_ = registry_->AddCounter("server.slow_cycles");
@@ -266,7 +231,7 @@ std::string ServerDaemon::MetricsEnvelopeJson() const {
   w.Key("enabled").Value(registry_ != nullptr);
   w.Key("t_ms").Value(wall_.ElapsedMs());
   w.Key("cycle").Value(
-      static_cast<uint64_t>(server_ != nullptr ? server_->snapshot().cycle : 0));
+      static_cast<uint64_t>(core_ != nullptr ? core_->server().snapshot().cycle : 0));
   if (registry_ != nullptr) {
     w.Key("metrics");
     registry_->WriteJson(w);
@@ -369,17 +334,24 @@ Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
     case MsgKind::kUpdate: {
       const auto update = DecodeUpdate(dgram.bytes);
       if (!update.ok()) return Status::OK();
+      UpdateReplyMsg reply;
+      reply.seq = update->seq;
+      const Cycle current = core_->server().snapshot().cycle;
+      if (!WellFormedUpdate(*update, sim_.num_objects, current)) {
+        ++stats_.uplink_malformed;
+        CounterAdd(m_uplink_malformed_);
+        return socket_.SendTo(EncodeUpdateReply(reply), dgram.from).status();
+      }
       ClientUpdateRequest request;
       request.id = next_uplink_id_++;
       request.reads = update->reads;
       request.writes = update->writes;
-      const Cycle current = server_->snapshot().cycle;
       const uint64_t t0_us = wall_.ElapsedUs();
-      const auto verdict = validator_->ValidateAndCommit(request, current);
+      const bool accepted = core_->ValidateUplink(request, current);
       HistogramRecord(m_validate_us_, wall_.ElapsedUs() - t0_us);
       const uint32_t ci = update->client_index;
       const bool tracked = ci < client_metrics_.size();
-      if (verdict.ok()) {
+      if (accepted) {
         ++stats_.uplink_accepts;
         CounterAdd(m_uplink_accepts_);
         if (tracked) CounterAdd(client_metrics_[ci].accepts);
@@ -400,8 +372,8 @@ Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
         ev.type = TraceEventType::kValidation;
         ev.time = wall_.ElapsedUs();
         ev.cycle = current;
-        ev.value = verdict.ok() ? 1 : 0;
-        if (!verdict.ok()) ev.abort = validator_->last_reject();
+        ev.value = accepted ? 1 : 0;
+        if (!accepted) ev.abort = core_->last_reject();
         TraceTo(client_rings_[ci], ev);
       }
       if (record_decisions_) {
@@ -409,25 +381,14 @@ Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
         d.id = request.id;
         d.client_index = ci;
         d.cycle = current;
-        d.accepted = verdict.ok();
-        if (verdict.ok()) {
-          if (processor_ == nullptr) {
-            d.seq = next_commit_seq_++;  // direct mode commits on the spot
-          } else {
-            staged_uplink_decisions_.push_back(decisions_.uplinks.size());
-          }
-        } else {
-          d.cause = validator_->last_reject();
-        }
+        d.accepted = accepted;
+        if (!accepted) d.cause = core_->last_reject();
         d.reads = update->reads;
         d.writes = update->writes;
         decisions_.uplinks.push_back(std::move(d));
       }
-      UpdateReplyMsg reply;
-      reply.seq = update->seq;
-      reply.accepted = verdict.ok();
-      const std::vector<uint8_t> bytes = EncodeUpdateReply(reply);
-      return socket_.SendTo(bytes, dgram.from).status();
+      reply.accepted = accepted;
+      return socket_.SendTo(EncodeUpdateReply(reply), dgram.from).status();
     }
     case MsgKind::kMetricsReq: {
       const auto req = DecodeMetricsReq(dgram.bytes);
@@ -497,67 +458,26 @@ Status ServerDaemon::WaitForClients() {
   return Status::OK();
 }
 
-Status ServerDaemon::ReplayCommitsForCycle(Cycle cycle) {
-  // DES boundary rule: the cycle-start event was inserted before any commit
-  // scheduled at exactly the boundary time, so a commit at vt == cycle_end
-  // belongs to the NEXT cycle — hence the strict <.
-  const SimTime cycle_end = static_cast<SimTime>(cycle) * server_->CycleLengthBits();
-  while (next_commit_vt_ < cycle_end) {
-    const ServerTxn txn = workload_->NextTxn();
-    if (processor_ != nullptr) {
-      if (overlay_ != nullptr) overlay_->Stage(txn.write_set, cycle);
-      pending_server_txns_.push_back(txn);
-    } else {
-      manager_->ExecuteAndCommit(txn, cycle);
-    }
+void ServerDaemon::CommitCycle(Cycle cycle) {
+  // The commit clock replays the DES commit events of this cycle, boundary
+  // ties included, so the daemon commits exactly what the oracle commits.
+  core_->CommitCycle(cycle, [&](const ServerTxn& txn, SimTime) {
     if (record_decisions_) {
       ServerCommitRecord rec;
       rec.id = txn.id;
       rec.cycle = cycle;
       rec.reads = txn.read_set;
       rec.writes = txn.write_set;
-      if (processor_ == nullptr) {
-        rec.seq = next_commit_seq_++;
-      } else {
-        staged_server_commits_.push_back(decisions_.server_commits.size());
-      }
       decisions_.server_commits.push_back(std::move(rec));
     }
     ++stats_.server_commits;
     CounterAdd(m_server_commits_);
-    next_commit_vt_ += workload_->NextInterval();
-  }
-  return Status::OK();
-}
-
-void ServerDaemon::FlushBatch(Cycle cycle) {
-  if (processor_ == nullptr) return;
-  if (!pending_uplink_txns_.empty()) {
-    // Accepted uplinks commit first, serially, in acceptance order — the
-    // same serial-prefix rule as the DES engine's cycle fold.
-    const std::vector<CommittedServerTxn> committed =
-        processor_->ExecuteSerial(pending_uplink_txns_);
-    FoldIntoManager(committed, *manager_, cycle);
-    pending_uplink_txns_.clear();
-  }
-  if (!pending_server_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        processor_->ExecuteBatch(pending_server_txns_);
-    FoldIntoManager(committed, *manager_, cycle);
-    pending_server_txns_.clear();
-  }
-  if (overlay_ != nullptr) overlay_->Clear();
-  // The fold above is the store's commit point in staged mode: assign the
-  // decision log's commit-order seqs in the same order it folded (uplink
-  // serial prefix in acceptance order, then the server batch).
-  for (size_t i : staged_uplink_decisions_) decisions_.uplinks[i].seq = next_commit_seq_++;
-  staged_uplink_decisions_.clear();
-  for (size_t i : staged_server_commits_) decisions_.server_commits[i].seq = next_commit_seq_++;
-  staged_server_commits_.clear();
+  });
+  core_->Fold(cycle);
 }
 
 Status ServerDaemon::FanOutCycle(Cycle cycle) {
-  const CycleSnapshot& snap = server_->snapshot();
+  const CycleSnapshot& snap = core_->server().snapshot();
   EncodeCycleFramesInto(snap, *codec_, sim_.object_size_bits, frame_scratch_);
   stats_.frames_per_cycle = frame_scratch_.size();
   const std::vector<std::vector<uint8_t>> dgrams =
@@ -615,28 +535,26 @@ Status ServerDaemon::BroadcastCycles() {
     HistogramRecord(m_slip_hist_, static_cast<uint64_t>(slip_ms));
     GaugeSet(m_current_cycle_, static_cast<int64_t>(cycle));
     const uint64_t cycle_start_us = wall_.ElapsedUs();
-    server_->BeginCycle(cycle, static_cast<SimTime>(cycle - 1) * server_->CycleLengthBits(),
-                        *manager_);
+    core_->BeginCycle(cycle, static_cast<SimTime>(cycle - 1) * core_->server().CycleLengthBits());
     if (registry_ != nullptr && sim_.matrix_mode == MatrixMode::kSparse) {
       // Cycle boundary: the commit batch was just flushed into the snapshot,
       // so nnz() is the begin-of-cycle footprint clients validate against.
-      const SparseFMatrix& sm = manager_->sparse_f_matrix();
+      const SparseFMatrix& sm = core_->manager().sparse_f_matrix();
       GaugeSet(m_matrix_nnz_, static_cast<int64_t>(sm.nnz()));
       GaugeSet(m_matrix_control_bytes_,
                static_cast<int64_t>(SparseMatrixControlBits(sm, sim_.timestamp_bits) / 8));
     }
     if (sim_.delta_broadcast) {
-      manager_->DrainTouchedColumns(touched_scratch_);
-      server_->AttachDeltaControl(touched_scratch_);
+      core_->manager().DrainTouchedColumns(touched_scratch_);
+      core_->server().AttachDeltaControl(touched_scratch_);
     }
     BCC_RETURN_IF_ERROR(FanOutCycle(cycle));
     // The cycle's server commits are staged right after its snapshot goes on
     // the air: an uplink validated later in the cycle sees their MC effects
     // (conservative — staging can only add rejects, never false accepts)
-    // and the next BeginCycle folds them in, the same cycle-granular
+    // and the next BeginCycle sees them folded, the same cycle-granular
     // visibility the DES engines give clients.
-    BCC_RETURN_IF_ERROR(ReplayCommitsForCycle(cycle));
-    FlushBatch(cycle);
+    CommitCycle(cycle);
     const uint64_t cycle_us = wall_.ElapsedUs() - cycle_start_us;
     CounterAdd(m_cycles_);
     HistogramRecord(m_cycle_ms_, cycle_us / 1000);
@@ -695,11 +613,10 @@ Status ServerDaemon::Run(ServerReport* report) {
   BCC_RETURN_IF_ERROR(BroadcastCycles());
   BCC_RETURN_IF_ERROR(CollectStats());
   // Uplinks accepted after the final fold (stats collection can race
-  // in-flight updates) close out the decision log's commit order.
-  for (size_t i : staged_uplink_decisions_) decisions_.uplinks[i].seq = next_commit_seq_++;
-  staged_uplink_decisions_.clear();
+  // in-flight updates) still commit, after the final snapshot was taken.
+  core_->Fold(sim_.stop_after_cycles);
 
-  const CycleSnapshot& snap = server_->snapshot();
+  const CycleSnapshot& snap = core_->server().snapshot();
   uint64_t digest = DigestValues(snap.values);
   // Sparse mode leaves the snapshot's dense matrix empty; the sparse At()
   // returns the same absolute values, so the digest is representation-
@@ -720,6 +637,10 @@ Status ServerDaemon::Run(ServerReport* report) {
     BCC_RETURN_IF_ERROR(WriteTextFile(net_.trace_out, ExportChromeTrace(*tracer_)));
   }
   if (record_decisions_) {
+    for (ServerCommitRecord& r : decisions_.server_commits) r.seq = commit_seqs_.at(r.id);
+    for (UplinkDecision& d : decisions_.uplinks) {
+      if (d.accepted) d.seq = commit_seqs_.at(d.id);
+    }
     stats_.decisions = decisions_;
     BCC_RETURN_IF_ERROR(WriteTextFile(net_.decisions_out, decisions_.ToJson() + "\n"));
   }
@@ -790,6 +711,7 @@ std::string ServerReport::ToJson() const {
   w.Key("server_commits").Value(server_commits);
   w.Key("uplink_accepts").Value(uplink_accepts);
   w.Key("uplink_rejects").Value(uplink_rejects);
+  w.Key("uplink_malformed").Value(uplink_malformed);
   w.Key("datagrams_sent").Value(datagrams_sent);
   w.Key("bytes_sent").Value(bytes_sent);
   w.Key("slow_cycles").Value(slow_cycles);

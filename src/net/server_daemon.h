@@ -5,13 +5,12 @@
 // bench, and sim_cli --listen.
 //
 // Determinism contract: with read-only clients the server's end state is a
-// pure function of (seed, SimConfig) — the commit stream is replayed from
-// ServerWorkload on the DES virtual-time grid (a commit at virtual time t
-// belongs to cycle floor(t / cycle_bits); a tie at a cycle boundary belongs
-// to the next cycle, matching the event queue's insertion order), entirely
-// decoupled from wall-clock pacing and fan-out timing. The loopback test
-// relies on this to compare the daemon's digest against the in-process DES
-// oracle bit for bit.
+// pure function of (seed, SimConfig) — the commit stream is replayed by the
+// server cycle core's commit clock on the DES virtual-time grid, boundary
+// ties resolved by the DES event order (DESIGN.md, "Server cycle core"),
+// entirely decoupled from wall-clock pacing and fan-out timing. The loopback
+// test relies on this to compare the daemon's digest against the in-process
+// DES oracle bit for bit.
 
 #ifndef BCC_NET_SERVER_DAEMON_H_
 #define BCC_NET_SERVER_DAEMON_H_
@@ -67,6 +66,7 @@ struct ServerReport {
   uint64_t server_commits = 0;
   uint64_t uplink_accepts = 0;
   uint64_t uplink_rejects = 0;
+  uint64_t uplink_malformed = 0;  ///< UPDATEs rejected unvalidated (ids, cycles out of range)
   uint64_t datagrams_sent = 0;
   uint64_t bytes_sent = 0;
   uint64_t slow_cycles = 0;     ///< paced cycles that overran the watchdog factor

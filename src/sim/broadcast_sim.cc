@@ -60,75 +60,13 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   ran_ = true;
   BCC_RETURN_IF_ERROR(config_.Validate());
 
-  const bool f_family = config_.algorithm == Algorithm::kFMatrix ||
-                        config_.algorithm == Algorithm::kFMatrixNo;
-  const bool sparse_mode = config_.matrix_mode == MatrixMode::kSparse;
-  const bool hier_mode = config_.matrix_mode == MatrixMode::kHier;
-  TxnManagerOptions manager_options;
-  // In sparse/hier mode the dense matrix is maintained only when the oracle
-  // needs it (record_history) — it is O(n^2) and the snapshot path prefers
-  // the sparse representation regardless.
-  manager_options.maintain_f_matrix =
-      (f_family && !sparse_mode && !hier_mode) || config_.record_history;
-  manager_options.maintain_sparse_matrix = f_family && sparse_mode;
-  manager_options.maintain_hier_matrix = hier_mode;
-  manager_options.hier_options = config_.HierOptions();
-  manager_options.maintain_mc_vector = true;
-  manager_options.record_history = config_.record_history;
-  manager_options.track_dirty_columns = config_.delta_broadcast;
-  manager_ = std::make_unique<ServerTxnManager>(config_.num_objects, manager_options);
-  if (hier_mode) hier_ = manager_->hier_matrix();
-
-  server_ = std::make_unique<BroadcastServer>(config_.num_objects, geometry_);
-  if (config_.delta_broadcast) {
-    server_->EnableDeltaBroadcast(CycleStampCodec(config_.timestamp_bits),
-                                  config_.delta_refresh_period);
-  }
-  if (config_.hot_set_size > 0 && config_.hot_broadcast_frequency > 1) {
-    // Multi-speed disk: hot objects several times per major cycle.
-    std::vector<uint32_t> frequencies(config_.num_objects, 1);
-    for (uint32_t i = 0; i < config_.hot_set_size; ++i) {
-      frequencies[i] = config_.hot_broadcast_frequency;
-    }
-    BCC_ASSIGN_OR_RETURN(BroadcastSchedule schedule,
-                         BroadcastSchedule::FromFrequencies(frequencies));
-    server_->SetSchedule(std::move(schedule));
-  }
-  if (f_family && config_.num_groups > 0 && config_.num_groups < config_.num_objects) {
-    partition_ = ObjectPartition::Blocks(config_.num_objects, config_.num_groups);
-    server_->SetPartition(*partition_);
-  }
-
   Rng root(config_.seed);
-  server_workload_ = std::make_unique<ServerWorkload>(config_, root.Split());
-  if (config_.update_scheme != UpdateScheme::kSequential) {
-    txn_processor_ = std::make_unique<TxnProcessor>(config_.num_objects, config_.update_scheme,
-                                                    config_.update_workers);
-    // Pooled-apply: the cycle-batch F-Matrix fold borrows the processor's
-    // worker pool, partitioned by column (bit-identical to the serial fold).
-    manager_->SetParallelFold(
-        [this](uint32_t shards, const std::function<void(uint32_t)>& body) {
-          txn_processor_->RunShards(shards, body);
-        },
-        config_.update_workers);
-  }
+  BCC_ASSIGN_OR_RETURN(core_,
+                       ServerCycle::Create(config_, root, config_.client_update_fraction > 0.0));
+  if (config_.matrix_mode == MatrixMode::kHier) hier_ = core_->manager().hier_matrix();
 
   std::optional<CycleStampCodec> codec;
   if (config_.use_wire_codec) codec.emplace(config_.timestamp_bits);
-
-  if (config_.client_update_fraction > 0.0) {
-    validator_ = std::make_unique<UpdateValidator>(manager_.get());
-    if (txn_processor_ != nullptr) {
-      // Pooled mode: the cycle's commits (pooled server txns and accepted
-      // uplinks) reach the manager only at the fold point, so the validator
-      // reads the MC vector through the cycle-epoch overlay, and accepted
-      // uplink transactions queue for the serial prefix of the fold.
-      mc_overlay_ = std::make_unique<McOverlay>(config_.num_objects);
-      validator_->AttachStagedMode(mc_overlay_.get(), [this](ServerTxn&& txn) {
-        pending_uplink_txns_.push_back(std::move(txn));
-      });
-    }
-  }
 
   clients_.clear();
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
@@ -163,12 +101,12 @@ StatusOr<SimSummary> BroadcastSim::Run() {
 
   // Prime the loop: cycle 1 begins at t = 0; the first server transaction
   // and each client's first submission follow their think times.
-  server_->BeginCycle(1, 0, *manager_);
+  core_->BeginCycle(1, 0);
   TraceCycleStart();
   if (config_.delta_broadcast) AttachAndObserveDelta();
   if (channel_) TransmitCycle();
-  queue_.ScheduleAt(server_->CycleEndTime(), [this] { StartNextCycle(); });
-  queue_.ScheduleAfter(server_workload_->NextInterval(), [this] { ServerCommitEvent(); });
+  queue_.ScheduleAt(core_->server().CycleEndTime(), [this] { StartNextCycle(); });
+  queue_.ScheduleAt(core_->next_commit_time(), [this] { ServerCommitEvent(); });
   for (size_t c = 0; c < clients_.size(); ++c) {
     queue_.ScheduleAfter(clients_[c]->workload.NextInterTxnDelay(),
                          [this, c] { SubmitClientTxn(c); });
@@ -177,15 +115,15 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   while (!done_ && queue_.Step()) {
   }
   // Commits staged during the final (partial) cycle still belong to it.
-  FlushServerBatch();
+  core_->Fold(core_->server().snapshot().cycle);
 
   for (const auto& client : clients_) {
     if (client->receiver) metrics_.AccumulateChannel(client->receiver->stats());
   }
-  SimSummary summary = metrics_.Summarize(server_->snapshot().cycle, queue_.now(),
+  SimSummary summary = metrics_.Summarize(core_->server().snapshot().cycle, queue_.now(),
                                           TotalCacheHits(), TotalCacheMisses());
   if (config_.matrix_mode == MatrixMode::kSparse) {
-    summary.matrix_nnz = manager_->sparse_f_matrix().nnz();
+    summary.matrix_nnz = core_->manager().sparse_f_matrix().nnz();
   } else if (hier_ != nullptr) {
     summary.matrix_nnz = hier_->exact().nnz();
     summary.hier = hier_->stats();
@@ -211,37 +149,11 @@ uint64_t BroadcastSim::TotalCacheMisses() const {
   return total;
 }
 
-void BroadcastSim::FlushServerBatch() {
-  if (txn_processor_ == nullptr) return;
-  const Cycle cycle = server_->snapshot().cycle;
-  if (!pending_uplink_txns_.empty()) {
-    // Accepted uplink transactions commit first, serially, in acceptance
-    // order. Validation guaranteed each one's reads are disjoint from every
-    // write staged before it was accepted, so the serial prefix places each
-    // uplink's commit exactly where the client's broadcast reads put it —
-    // after the prior cycle, before anything of this cycle that could
-    // conflict. Letting the pooled batch order them instead could slot a
-    // later-staged conflicting server commit in front.
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteSerial(pending_uplink_txns_);
-    FoldIntoManager(committed, *manager_, cycle);
-    pending_uplink_txns_.clear();
-  }
-  if (!pending_server_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteBatch(pending_server_txns_);
-    FoldIntoManager(committed, *manager_, cycle);
-    pending_server_txns_.clear();
-  }
-  // The fold published every staged MC effect for real; retire the epoch.
-  if (mc_overlay_ != nullptr) mc_overlay_->Clear();
-}
-
 void BroadcastSim::EndOfCycleMatrixStep(Cycle ending) {
   if (hier_ != nullptr) {
     // The flushing accessor folds the ending cycle's queued commits into the
     // exact matrix — the cycle boundary — before policy and accounting run.
-    manager_->hier_matrix();
+    core_->manager().hier_matrix();
     metrics_.RecordMatrixCycle(hier_->ControlBits(config_.timestamp_bits));
     hier_->EndOfCycle(ending, metrics_.abort_causes().Count(AbortCause::kControlConflict));
     return;
@@ -249,11 +161,11 @@ void BroadcastSim::EndOfCycleMatrixStep(Cycle ending) {
   if (config_.matrix_mode != MatrixMode::kSparse) return;
   if (config_.sparse_compaction_period > 0 && ending % config_.sparse_compaction_period == 0) {
     metrics_.RecordSparseCompaction(
-        manager_->CompactSparseMatrix(CycleStampCodec(config_.timestamp_bits), ending));
+        core_->manager().CompactSparseMatrix(CycleStampCodec(config_.timestamp_bits), ending));
   }
   // O(1): the sparse matrix keeps nnz / nonempty-column counters.
   metrics_.RecordMatrixCycle(
-      SparseMatrixControlBits(manager_->sparse_f_matrix(), config_.timestamp_bits));
+      SparseMatrixControlBits(core_->manager().sparse_f_matrix(), config_.timestamp_bits));
 }
 
 void BroadcastSim::StartNextCycle() {
@@ -261,27 +173,28 @@ void BroadcastSim::StartNextCycle() {
   // Pooled mode: the ending cycle's server transactions execute now, so the
   // snapshot taken at BeginCycle sees them — the same cycle-granular
   // visibility clients get under the sequential path.
-  FlushServerBatch();
-  EndOfCycleMatrixStep(server_->snapshot().cycle);
-  const Cycle next = server_->snapshot().cycle + 1;
+  const Cycle ending = core_->server().snapshot().cycle;
+  core_->Fold(ending);
+  EndOfCycleMatrixStep(ending);
+  const Cycle next = ending + 1;
   if (config_.stop_after_cycles > 0 && next > config_.stop_after_cycles) {
     done_ = true;
     return;
   }
-  server_->BeginCycle(next, server_->CycleEndTime(), *manager_);
+  core_->BeginCycle(next, core_->server().CycleEndTime());
   TraceCycleStart();
   if (config_.delta_broadcast) AttachAndObserveDelta();
   if (channel_) TransmitCycle();
-  queue_.ScheduleAt(server_->CycleEndTime(), [this] { StartNextCycle(); });
+  queue_.ScheduleAt(core_->server().CycleEndTime(), [this] { StartNextCycle(); });
 }
 
 void BroadcastSim::TraceCycleStart() {
   if (server_trace_ == nullptr) return;
-  const CycleSnapshot& snap = server_->snapshot();
-  const SimTime length = server_->CycleLengthBits();
+  const CycleSnapshot& snap = core_->server().snapshot();
+  const SimTime length = core_->server().CycleLengthBits();
   TraceEvent cycle;
   cycle.type = TraceEventType::kCycleStart;
-  cycle.time = server_->CycleEndTime() - length;
+  cycle.time = core_->server().CycleEndTime() - length;
   cycle.duration = length;
   cycle.cycle = snap.cycle;
   server_trace_->Record(cycle);
@@ -294,9 +207,9 @@ void BroadcastSim::TraceCycleStart() {
 }
 
 void BroadcastSim::AttachAndObserveDelta() {
-  manager_->DrainTouchedColumns(touched_scratch_);
-  server_->AttachDeltaControl(touched_scratch_);
-  const CycleSnapshot& snap = server_->snapshot();
+  core_->manager().DrainTouchedColumns(touched_scratch_);
+  core_->server().AttachDeltaControl(touched_scratch_);
+  const CycleSnapshot& snap = core_->server().snapshot();
   const DeltaControl& ctl = *snap.delta;
   metrics_.RecordDeltaCycle(ctl.full_refresh, ctl.control_bits, ctl.full_bits);
   // In channel mode the trackers are fed from each client's reassembled
@@ -316,7 +229,7 @@ void BroadcastSim::AttachAndObserveDelta() {
 }
 
 void BroadcastSim::TransmitCycle() {
-  const CycleSnapshot& snap = server_->snapshot();
+  const CycleSnapshot& snap = core_->server().snapshot();
   EncodeCycleFramesInto(snap, *frame_codec_, config_.object_size_bits, frame_scratch_);
   for (size_t c = 0; c < clients_.size(); ++c) {
     Client& client = *clients_[c];
@@ -332,26 +245,17 @@ void BroadcastSim::TransmitCycle() {
 
 void BroadcastSim::ServerCommitEvent() {
   if (done_) return;
-  const ServerTxn txn = server_workload_->NextTxn();
-  if (txn_processor_ != nullptr) {
-    // Stage the MC effect at event time: an uplink validated later this
-    // cycle must see this write exactly as the sequential path's eager MC
-    // maintenance would have shown it.
-    if (mc_overlay_ != nullptr) mc_overlay_->Stage(txn.write_set, server_->snapshot().cycle);
-    pending_server_txns_.push_back(txn);
-  } else {
-    manager_->ExecuteAndCommit(txn, server_->snapshot().cycle);
-  }
+  const ServerTxn txn = core_->CommitNext(core_->server().snapshot().cycle);
   metrics_.RecordServerCommit();
   if (server_trace_ != nullptr) {
     TraceEvent e;
     e.type = TraceEventType::kCommit;
     e.time = queue_.now();
-    e.cycle = server_->snapshot().cycle;
+    e.cycle = core_->server().snapshot().cycle;
     e.value = txn.id;
     server_trace_->Record(e);
   }
-  queue_.ScheduleAfter(server_workload_->NextInterval(), [this] { ServerCommitEvent(); });
+  queue_.ScheduleAt(core_->next_commit_time(), [this] { ServerCommitEvent(); });
 }
 
 void BroadcastSim::SubmitClientTxn(size_t c) {
@@ -359,7 +263,7 @@ void BroadcastSim::SubmitClientTxn(size_t c) {
   Client& client = *clients_[c];
   client.submit_time = queue_.now();
   client.read_set = client.workload.NextReadSet();
-  client.is_update = validator_ != nullptr && client.workload.NextIsUpdate();
+  client.is_update = core_->uplink() && client.workload.NextIsUpdate();
   client.write_set =
       client.is_update ? client.workload.NextWriteSet() : std::vector<ObjectId>{};
   client.read_idx = 0;
@@ -377,13 +281,13 @@ void BroadcastSim::BeginReadOp(size_t c) {
 
   if (client.cache) {
     if (std::optional<CacheEntry> entry = client.cache->Lookup(ob, queue_.now())) {
-      auto value = client.protocol.ReadFromCache(*entry, ob, server_->snapshot());
+      auto value = client.protocol.ReadFromCache(*entry, ob, core_->server().snapshot());
       if (value.ok()) {
         if (client.trace != nullptr) {
           TraceEvent e;
           e.type = TraceEventType::kRead;
           e.time = queue_.now();
-          e.cycle = server_->snapshot().cycle;
+          e.cycle = core_->server().snapshot().cycle;
           e.object = ob;
           e.value = value->value;
           client.trace->Record(e);
@@ -395,15 +299,15 @@ void BroadcastSim::BeginReadOp(size_t c) {
     }
   }
 
-  if (const std::optional<SimTime> slot = server_->NextSlotEnd(ob, queue_.now())) {
+  if (const std::optional<SimTime> slot = core_->server().NextSlotEnd(ob, queue_.now())) {
     queue_.ScheduleAt(*slot, [this, c] { PerformBroadcastRead(c); });
   } else {
     // No appearance of `ob` remains this cycle; catch its first slot in the
     // next cycle (whose start event is already scheduled and fires strictly
     // earlier than any slot completion).
-    const uint32_t first_slot = server_->schedule().SlotsOf(ob).front();
+    const uint32_t first_slot = core_->server().schedule().SlotsOf(ob).front();
     queue_.ScheduleAt(
-        server_->CycleEndTime() + static_cast<SimTime>(first_slot + 1) * geometry_.slot_bits,
+        core_->server().CycleEndTime() + static_cast<SimTime>(first_slot + 1) * geometry_.slot_bits,
         [this, c] { PerformBroadcastRead(c); });
   }
 }
@@ -412,7 +316,7 @@ void BroadcastSim::PerformBroadcastRead(size_t c) {
   if (done_) return;
   Client& client = *clients_[c];
   const ObjectId ob = client.read_set[client.read_idx];
-  const CycleSnapshot& snap = server_->snapshot();
+  const CycleSnapshot& snap = core_->server().snapshot();
   bool stall = false;
   bool delta_stall = false;
   if (client.tracker && client.tracker->Unusable(snap.cycle)) {
@@ -450,9 +354,9 @@ void BroadcastSim::PerformBroadcastRead(size_t c) {
       client.stalled_this_attempt = true;
     }
     if (delta_stall) client.delta_stalled_this_attempt = true;
-    const uint32_t first_slot = server_->schedule().SlotsOf(ob).front();
+    const uint32_t first_slot = core_->server().schedule().SlotsOf(ob).front();
     queue_.ScheduleAt(
-        server_->CycleEndTime() + static_cast<SimTime>(first_slot + 1) * geometry_.slot_bits,
+        core_->server().CycleEndTime() + static_cast<SimTime>(first_slot + 1) * geometry_.slot_bits,
         [this, c] { PerformBroadcastRead(c); });
     return;
   }
@@ -533,7 +437,7 @@ void BroadcastSim::OnAbort(size_t c, AbortInfo info) {
     TraceEvent e;
     e.type = TraceEventType::kAbort;
     e.time = queue_.now();
-    e.cycle = server_->snapshot().cycle;
+    e.cycle = core_->server().snapshot().cycle;
     e.object = info.ob_j;
     e.abort = info;
     client.trace->Record(e);
@@ -563,17 +467,17 @@ void BroadcastSim::SendUplinkCommit(size_t c) {
   request.id = next_client_update_id_++;
   request.reads = client.protocol.reads();
   request.writes = client.write_set;
-  const auto verdict = validator_->ValidateAndCommit(request, server_->snapshot().cycle);
+  const bool accepted = core_->ValidateUplink(request, core_->server().snapshot().cycle);
   if (client.trace != nullptr) {
     TraceEvent e;
     e.type = TraceEventType::kValidation;
     e.time = queue_.now();
-    e.cycle = server_->snapshot().cycle;
-    e.value = verdict.ok() ? 1 : 0;
+    e.cycle = core_->server().snapshot().cycle;
+    e.value = accepted ? 1 : 0;
     client.trace->Record(e);
   }
   // The client learns the outcome one uplink delay later.
-  if (verdict.ok()) {
+  if (accepted) {
     metrics_.RecordServerCommit();  // it is also a committed update txn
     metrics_.RecordClientUpdateCommit();
     queue_.ScheduleAfter(config_.uplink_delay, [this, c] { CompleteTxn(c, false); });
@@ -581,7 +485,7 @@ void BroadcastSim::SendUplinkCommit(size_t c) {
     metrics_.RecordClientUpdateReject();
     // Capture the validator's structured cause now — by the time the abort
     // fires, another client's rejection may have overwritten last_reject().
-    const AbortInfo reject = validator_->last_reject();
+    const AbortInfo reject = core_->last_reject();
     queue_.ScheduleAfter(config_.uplink_delay, [this, c, reject] { OnAbort(c, reject); });
   }
 }
@@ -606,7 +510,7 @@ void BroadcastSim::CompleteTxn(size_t c, bool censored) {
     TraceEvent e;
     e.type = censored ? TraceEventType::kAbort : TraceEventType::kCommit;
     e.time = queue_.now();
-    e.cycle = server_->snapshot().cycle;
+    e.cycle = core_->server().snapshot().cycle;
     e.value = client.protocol.reads().size();
     if (censored) e.abort.cause = AbortCause::kCensored;
     client.trace->Record(e);
@@ -635,10 +539,10 @@ StatusOr<History> BroadcastSim::BuildOracleHistory() const {
   std::vector<Block> server_blocks;
   {
     Block current{{}, 0};
-    for (const Operation& op : manager_->recorded_history().ops()) {
+    for (const Operation& op : core_->manager().recorded_history().ops()) {
       current.ops.push_back(op);
       if (op.type == OpType::kCommit || op.type == OpType::kAbort) {
-        current.cycle = manager_->commit_cycles().at(op.txn);
+        current.cycle = core_->manager().commit_cycles().at(op.txn);
         server_blocks.push_back(std::move(current));
         current = Block{{}, 0};
       }
@@ -737,7 +641,7 @@ Status BroadcastSim::VerifyDeltaTrackers() const {
   }
   if (!ran_) return Status::FailedPrecondition("VerifyDeltaTrackers requires a completed Run");
   const CycleStampCodec codec(config_.timestamp_bits);
-  const CycleSnapshot& final_snap = server_->snapshot();
+  const CycleSnapshot& final_snap = core_->server().snapshot();
   const FMatrixSnapshot& truth = final_snap.f_matrix;
   const Cycle cycle = final_snap.cycle;
   // Sparse mode: truth and (direct-mode) reconstructions are SparseFMatrix.
@@ -791,83 +695,11 @@ bool ServerMatricesEqual(const ServerTxnManager& a, const ServerTxnManager& b) {
   return a.f_matrix() == b.f_matrix();
 }
 
-}  // namespace
-
-Status CrossCheckDeltaBroadcast(SimConfig config) {
-  if (config.stop_after_cycles == 0) {
-    return Status::InvalidArgument("CrossCheckDeltaBroadcast requires stop_after_cycles > 0");
-  }
-  config.record_decisions = true;
-  // The cycle cutoff is the only stop condition, so both runs see the same
-  // timing-independent prefix of every client's transaction stream.
-  config.num_client_txns = std::numeric_limits<uint32_t>::max();
-
-  SimConfig full = config;
-  full.delta_broadcast = false;
-  SimConfig delta = config;
-  delta.delta_broadcast = true;
-
-  BroadcastSim full_sim(full);
-  BCC_ASSIGN_OR_RETURN(const SimSummary full_summary, full_sim.Run());
-  BroadcastSim delta_sim(delta);
-  BCC_ASSIGN_OR_RETURN(const SimSummary delta_summary, delta_sim.Run());
-
-  BCC_RETURN_IF_ERROR(delta_sim.VerifyDeltaTrackers());
-  if (delta_summary.delta_control_bits > delta_summary.full_control_bits) {
-    return Status::Internal(
-        StrFormat("delta mode shipped more control than the full baseline: %llu > %llu",
-                  static_cast<unsigned long long>(delta_summary.delta_control_bits),
-                  static_cast<unsigned long long>(delta_summary.full_control_bits)));
-  }
-
-  // Server state must be identical: the delta pipeline is broadcast-side
-  // only and must not perturb the commit stream.
-  if (full_summary.server_commits != delta_summary.server_commits) {
-    return Status::Internal(StrFormat(
-        "server commit counts diverge: full=%llu delta=%llu",
-        static_cast<unsigned long long>(full_summary.server_commits),
-        static_cast<unsigned long long>(delta_summary.server_commits)));
-  }
-  if (!(full_summary.abort_causes == delta_summary.abort_causes)) {
-    return Status::Internal(StrFormat("abort breakdowns diverge: full=(%s) delta=(%s)",
-                                      full_summary.abort_causes.ToString().c_str(),
-                                      delta_summary.abort_causes.ToString().c_str()));
-  }
-  if (!ServerMatricesEqual(full_sim.manager(), delta_sim.manager())) {
-    return Status::Internal("server F-Matrices diverge between full and delta runs");
-  }
-  if (!(full_sim.manager().store().committed() == delta_sim.manager().store().committed())) {
-    return Status::Internal("server stores diverge between full and delta runs");
-  }
-
-  // Per-client decision parity (the CrossCheckEngines contract).
-  if (full_sim.decisions().size() != delta_sim.decisions().size()) {
-    return Status::Internal("client counts diverge between full and delta runs");
-  }
-  for (size_t c = 0; c < full_sim.decisions().size(); ++c) {
-    const auto& a = full_sim.decisions()[c];
-    const auto& b = delta_sim.decisions()[c];
-    if (a.size() != b.size()) {
-      return Status::Internal(StrFormat("client %zu completed %zu txns full vs %zu delta", c,
-                                        a.size(), b.size()));
-    }
-    for (size_t k = 0; k < a.size(); ++k) {
-      if (!(a[k] == b[k])) {
-        return Status::Internal(
-            StrFormat("client %zu txn %zu decisions diverge between full and delta", c, k));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-namespace {
-
 /// Field-by-field equality of every non-channel summary field (doubles are
 /// compared bit-exactly: identical event sequences must produce identical
 /// arithmetic).
-Status CompareSummaries(const SimSummary& a, const SimSummary& b,
-                        const char* label_a = "direct", const char* label_b = "channel") {
+Status CompareSummaries(const SimSummary& a, const SimSummary& b, const char* label_a,
+                        const char* label_b) {
   const auto check = [&](const char* field, auto x, auto y) -> Status {
     if (x == y) return Status::OK();
     return Status::Internal(StrFormat("summary field %s diverges: %s=%s %s=%s", field, label_a,
@@ -901,21 +733,95 @@ Status CompareSummaries(const SimSummary& a, const SimSummary& b,
   return Status::OK();
 }
 
-}  // namespace
+/// The server-state and decision half of every DES differential check:
+/// identical stores, value-equal control matrices, and identical per-client
+/// decision logs.
+Status CompareRuns(const BroadcastSim& a, const BroadcastSim& b, const char* label_a,
+                   const char* label_b) {
+  if (!ServerMatricesEqual(a.manager(), b.manager())) {
+    return Status::Internal(StrFormat("server control matrices diverge between %s and %s runs",
+                                      label_a, label_b));
+  }
+  if (!(a.manager().store().committed() == b.manager().store().committed())) {
+    return Status::Internal(
+        StrFormat("server stores diverge between %s and %s runs", label_a, label_b));
+  }
+  if (a.decisions().size() != b.decisions().size()) {
+    return Status::Internal(
+        StrFormat("client counts diverge between %s and %s runs", label_a, label_b));
+  }
+  for (size_t c = 0; c < a.decisions().size(); ++c) {
+    const auto& da = a.decisions()[c];
+    const auto& db = b.decisions()[c];
+    if (da.size() != db.size()) {
+      return Status::Internal(StrFormat("client %zu completed %zu txns %s vs %zu %s", c,
+                                        da.size(), label_a, db.size(), label_b));
+    }
+    for (size_t k = 0; k < da.size(); ++k) {
+      if (!(da[k] == db[k])) {
+        return Status::Internal(StrFormat("client %zu txn %zu decisions diverge between %s and %s",
+                                          c, k, label_a, label_b));
+      }
+    }
+  }
+  return Status::OK();
+}
 
-Status CrossCheckLossless(SimConfig config) {
+/// Forces the timing-independent cutoff every differential check relies on:
+/// the cycle cutoff is the only stop condition, so both runs see the same
+/// prefix of every client's transaction stream.
+Status PrepareCrossCheck(SimConfig& config, const char* name) {
   if (config.stop_after_cycles == 0) {
-    return Status::InvalidArgument("CrossCheckLossless requires stop_after_cycles > 0");
+    return Status::InvalidArgument(StrFormat("%s requires stop_after_cycles > 0", name));
   }
   config.record_decisions = true;
-  // The cycle cutoff is the only stop condition, so both runs see the same
-  // timing-independent prefix of every client's transaction stream.
   config.num_client_txns = std::numeric_limits<uint32_t>::max();
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CrossCheckDeltaBroadcast(SimConfig config) {
+  BCC_RETURN_IF_ERROR(PrepareCrossCheck(config, "CrossCheckDeltaBroadcast"));
+  SimConfig full = config;
+  full.delta_broadcast = false;
+  SimConfig delta = config;
+  delta.delta_broadcast = true;
+
+  BroadcastSim full_sim(full);
+  BCC_ASSIGN_OR_RETURN(const SimSummary full_summary, full_sim.Run());
+  BroadcastSim delta_sim(delta);
+  BCC_ASSIGN_OR_RETURN(const SimSummary delta_summary, delta_sim.Run());
+
+  BCC_RETURN_IF_ERROR(delta_sim.VerifyDeltaTrackers());
+  if (delta_summary.delta_control_bits > delta_summary.full_control_bits) {
+    return Status::Internal(
+        StrFormat("delta mode shipped more control than the full baseline: %llu > %llu",
+                  static_cast<unsigned long long>(delta_summary.delta_control_bits),
+                  static_cast<unsigned long long>(delta_summary.full_control_bits)));
+  }
+  // The delta pipeline is broadcast-side only and must not perturb the commit
+  // stream or any decision.
+  if (full_summary.server_commits != delta_summary.server_commits) {
+    return Status::Internal(StrFormat(
+        "server commit counts diverge: full=%llu delta=%llu",
+        static_cast<unsigned long long>(full_summary.server_commits),
+        static_cast<unsigned long long>(delta_summary.server_commits)));
+  }
+  if (!(full_summary.abort_causes == delta_summary.abort_causes)) {
+    return Status::Internal(StrFormat("abort breakdowns diverge: full=(%s) delta=(%s)",
+                                      full_summary.abort_causes.ToString().c_str(),
+                                      delta_summary.abort_causes.ToString().c_str()));
+  }
+  return CompareRuns(full_sim, delta_sim, "full", "delta");
+}
+
+Status CrossCheckLossless(SimConfig config) {
+  BCC_RETURN_IF_ERROR(PrepareCrossCheck(config, "CrossCheckLossless"));
   config.channel_loss_rate = 0;
   config.channel_corrupt_rate = 0;
   config.channel_truncate_rate = 0;
   config.channel_burst = false;
-
   SimConfig direct = config;
   direct.channel_broadcast = false;
   SimConfig channel = config;
@@ -937,41 +843,14 @@ Status CrossCheckLossless(SimConfig config) {
       channel_summary.channel.data_losses != 0 || channel_summary.channel.stalls != 0) {
     return Status::Internal("rate-0 channel run reported losses or stalls");
   }
-
   // ...and reproduce the direct path bit-exactly: summary, server state, and
   // every client's decision log.
-  BCC_RETURN_IF_ERROR(CompareSummaries(direct_summary, channel_summary));
-  if (!ServerMatricesEqual(direct_sim.manager(), channel_sim.manager())) {
-    return Status::Internal("server F-Matrices diverge between direct and channel runs");
-  }
-  if (!(direct_sim.manager().store().committed() ==
-        channel_sim.manager().store().committed())) {
-    return Status::Internal("server stores diverge between direct and channel runs");
-  }
-  if (direct_sim.decisions().size() != channel_sim.decisions().size()) {
-    return Status::Internal("client counts diverge between direct and channel runs");
-  }
-  for (size_t c = 0; c < direct_sim.decisions().size(); ++c) {
-    const auto& a = direct_sim.decisions()[c];
-    const auto& b = channel_sim.decisions()[c];
-    if (a.size() != b.size()) {
-      return Status::Internal(StrFormat("client %zu completed %zu txns direct vs %zu channel",
-                                        c, a.size(), b.size()));
-    }
-    for (size_t k = 0; k < a.size(); ++k) {
-      if (!(a[k] == b[k])) {
-        return Status::Internal(
-            StrFormat("client %zu txn %zu decisions diverge between direct and channel", c, k));
-      }
-    }
-  }
-  return Status::OK();
+  BCC_RETURN_IF_ERROR(CompareSummaries(direct_summary, channel_summary, "direct", "channel"));
+  return CompareRuns(direct_sim, channel_sim, "direct", "channel");
 }
 
 Status CrossCheckSparseMode(SimConfig config) {
-  if (config.stop_after_cycles == 0) {
-    return Status::InvalidArgument("CrossCheckSparseMode requires stop_after_cycles > 0");
-  }
+  BCC_RETURN_IF_ERROR(PrepareCrossCheck(config, "CrossCheckSparseMode"));
   if (config.sparse_compaction_period > 0) {
     // Compaction aliases stale entries upward; the server's dependency fold
     // (dep(i) = max_k C(i, k)) then mixes aliased and in-window values, so
@@ -981,16 +860,10 @@ Status CrossCheckSparseMode(SimConfig config) {
         "CrossCheckSparseMode requires sparse_compaction_period == 0 (compaction is "
         "conservative, not decision-identical)");
   }
-  config.record_decisions = true;
-  // The cycle cutoff is the only stop condition, so both runs see the same
-  // timing-independent prefix of every client's transaction stream.
-  config.num_client_txns = std::numeric_limits<uint32_t>::max();
-
   SimConfig sparse = config;
   sparse.matrix_mode = MatrixMode::kSparse;
   SimConfig dense = config;
   dense.matrix_mode = MatrixMode::kDense;
-  dense.sparse_compaction_period = 0;
 
   BroadcastSim dense_sim(dense);
   BCC_ASSIGN_OR_RETURN(const SimSummary dense_summary, dense_sim.Run());
@@ -1002,31 +875,7 @@ Status CrossCheckSparseMode(SimConfig config) {
   // differ between representations.
   BCC_RETURN_IF_ERROR(CompareSummaries(dense_summary, sparse_summary, "dense", "sparse"));
   if (sparse.delta_broadcast) BCC_RETURN_IF_ERROR(sparse_sim.VerifyDeltaTrackers());
-  if (!ServerMatricesEqual(dense_sim.manager(), sparse_sim.manager())) {
-    return Status::Internal("server control matrices diverge between dense and sparse runs");
-  }
-  if (!(dense_sim.manager().store().committed() ==
-        sparse_sim.manager().store().committed())) {
-    return Status::Internal("server stores diverge between dense and sparse runs");
-  }
-  if (dense_sim.decisions().size() != sparse_sim.decisions().size()) {
-    return Status::Internal("client counts diverge between dense and sparse runs");
-  }
-  for (size_t c = 0; c < dense_sim.decisions().size(); ++c) {
-    const auto& a = dense_sim.decisions()[c];
-    const auto& b = sparse_sim.decisions()[c];
-    if (a.size() != b.size()) {
-      return Status::Internal(StrFormat("client %zu completed %zu txns dense vs %zu sparse", c,
-                                        a.size(), b.size()));
-    }
-    for (size_t k = 0; k < a.size(); ++k) {
-      if (!(a[k] == b[k])) {
-        return Status::Internal(
-            StrFormat("client %zu txn %zu decisions diverge between dense and sparse", c, k));
-      }
-    }
-  }
-  return Status::OK();
+  return CompareRuns(dense_sim, sparse_sim, "dense", "sparse");
 }
 
 }  // namespace bcc

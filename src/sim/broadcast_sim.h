@@ -31,10 +31,7 @@
 #include "history/history.h"
 #include "matrix/group_matrix.h"
 #include "obs/trace.h"
-#include "server/broadcast_server.h"
-#include "server/exec/txn_processor.h"
-#include "server/mc_overlay.h"
-#include "server/validator.h"
+#include "server/server_cycle.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
 #include "sim/workload.h"
@@ -57,7 +54,7 @@ class BroadcastSim {
   StatusOr<SimSummary> Run();
 
   const SimConfig& config() const { return config_; }
-  const ServerTxnManager& manager() const { return *manager_; }
+  const ServerTxnManager& manager() const { return core_->manager(); }
   /// Per-client transaction decision logs, in completion order (empty
   /// unless config.record_decisions).
   const std::vector<std::vector<TxnDecision>>& decisions() const { return decisions_; }
@@ -96,7 +93,7 @@ class BroadcastSim {
   /// The final broadcast cycle's snapshot (valid after Run). The networked
   /// tier's loopback test digests this as the in-process oracle for the
   /// daemon's end state.
-  const CycleSnapshot& final_snapshot() const { return server_->snapshot(); }
+  const CycleSnapshot& final_snapshot() const { return core_->server().snapshot(); }
 
   /// Attaches an event tracer (not owned; must outlive the sim). Call before
   /// Run: tracks — "server" plus one per client — are registered during
@@ -171,11 +168,6 @@ class BroadcastSim {
   void OnAbort(size_t c, AbortInfo info);
   void SendUplinkCommit(size_t c);     // client update txn: ship reads+writes
   void CompleteTxn(size_t c, bool censored);
-  /// Pooled update engine (config.update_scheme != kSequential): executes
-  /// the server transactions queued during the ending cycle on the
-  /// TxnProcessor and folds their serialization order into the manager under
-  /// the current cycle number. No-op in sequential mode.
-  void FlushServerBatch();
   /// Emits the cycle-start slice (and broadcast-tx instant) for the cycle
   /// just begun on the server track; no-op when tracing is off.
   void TraceCycleStart();
@@ -184,27 +176,13 @@ class BroadcastSim {
   BroadcastGeometry geometry_;
   EventQueue queue_;
 
-  std::unique_ptr<ServerTxnManager> manager_;
-  std::unique_ptr<BroadcastServer> server_;
+  std::unique_ptr<ServerCycle> core_;
   /// Hier mode: raw pointer into the manager's HierMatrix, grabbed once at
   /// setup. Protocol scans go through this pointer WITHOUT the flushing
   /// accessor, so mid-cycle validation always sees the frozen
   /// begin-of-cycle view; the batch flush happens at cycle boundaries
   /// (BuildSnapshot / EndOfCycleMatrixStep).
   HierMatrix* hier_ = nullptr;
-  std::optional<ObjectPartition> partition_;
-  std::unique_ptr<ServerWorkload> server_workload_;
-  std::unique_ptr<UpdateValidator> validator_;
-  /// Pooled update engine and its per-cycle staging queue (null/unused in
-  /// sequential mode).
-  std::unique_ptr<TxnProcessor> txn_processor_;
-  std::vector<ServerTxn> pending_server_txns_;
-  /// Pooled mode + client updates: the cycle-epoch MC overlay the validator
-  /// merges read-only (staged at ServerCommitEvent/acceptance time, cleared
-  /// at the fold), and the accepted uplink transactions awaiting the serial
-  /// prefix of the fold (acceptance order = fold order).
-  std::unique_ptr<McOverlay> mc_overlay_;
-  std::vector<ServerTxn> pending_uplink_txns_;
   std::vector<std::unique_ptr<Client>> clients_;
   std::optional<FrameCodec> frame_codec_;   // channel mode
   std::unique_ptr<LossyChannel> channel_;   // channel mode

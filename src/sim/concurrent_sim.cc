@@ -13,30 +13,6 @@
 
 namespace bcc {
 
-namespace {
-
-// The DES fires events in (time, insertion-order) order, which matters in
-// exactly one place: an event landing on a cycle boundary k*L fires before
-// the boundary's cycle-flip iff it was inserted before the flip was — and
-// the flip at k*L is inserted at (k-1)*L, by the previous flip's handler.
-// An event is inserted the moment its parent event fires, so the rule is
-// recursive in the parent's own boundary side. Replaying it per event keeps
-// every thread's private timeline bit-identical to the DES without a queue.
-bool FiresBeforeFlip(SimTime at, SimTime parent_time, bool parent_pre_flip, SimTime cycle_bits) {
-  if (at == 0 || at % cycle_bits != 0) return false;  // not on a boundary
-  const SimTime flip_inserted = at - cycle_bits;
-  return parent_time < flip_inserted ||
-         (parent_time == flip_inserted && parent_pre_flip);
-}
-
-// The broadcast cycle an event belongs to: events on a boundary fire in the
-// old cycle when they beat the flip, in the new cycle otherwise.
-Cycle PhaseOf(SimTime at, bool pre_flip, SimTime cycle_bits) {
-  return pre_flip ? at / cycle_bits : at / cycle_bits + 1;
-}
-
-}  // namespace
-
 /// Per-client thread state. Everything here is owned by one client thread
 /// for the duration of the run; the only cross-thread traffic is the
 /// published snapshot (read) and the completion counter (fetch_add).
@@ -110,7 +86,7 @@ void ConcurrentSim::ProcessClientPhase(ClientState& cs, Cycle phase, const Cycle
   assert(snap.cycle == phase);
   using Kind = ClientState::Kind;
   const SimTime cycle_start = (phase - 1) * cycle_bits_;
-  const BroadcastSchedule& schedule = server_->schedule();
+  const BroadcastSchedule& schedule = core_->server().schedule();
 
   while (PhaseOf(cs.ev.time, cs.ev.pre_flip, cycle_bits_) == phase) {
     const SimTime t = cs.ev.time;
@@ -147,7 +123,7 @@ void ConcurrentSim::ProcessClientPhase(ClientState& cs, Cycle phase, const Cycle
         cs.read_set = cs.workload.NextReadSet();
         // Same RNG draw order as BroadcastSim::SubmitClientTxn: the update
         // coin and write set are drawn only when uplink mode is on.
-        cs.is_update = validator_ != nullptr && cs.workload.NextIsUpdate();
+        cs.is_update = core_->uplink() && cs.workload.NextIsUpdate();
         cs.write_set = cs.is_update ? cs.workload.NextWriteSet() : std::vector<ObjectId>{};
         cs.read_idx = 0;
         cs.restarts = 0;
@@ -279,9 +255,8 @@ void ConcurrentSim::ProcessClientPhase(ClientState& cs, Cycle phase, const Cycle
           request.id = next_client_update_id_++;
           request.reads = cs.protocol.reads();
           request.writes = cs.write_set;
-          const auto verdict = validator_->ValidateAndCommit(request, phase);
-          accepted = verdict.ok();
-          if (!accepted) reject = validator_->last_reject();
+          accepted = core_->ValidateUplink(request, phase);
+          if (!accepted) reject = core_->last_reject();
         }
         if (cs.trace != nullptr) {
           TraceEvent e;
@@ -333,83 +308,17 @@ void ConcurrentSim::ProcessClientPhase(ClientState& cs, Cycle phase, const Cycle
   }
 }
 
-void ConcurrentSim::ProcessServerPhase(Cycle phase) {
-  while (PhaseOf(next_commit_time_, next_commit_pre_flip_, cycle_bits_) == phase) {
-    const ServerTxn txn = server_workload_->NextTxn();
-    if (txn_processor_ != nullptr) {
-      pending_server_txns_.push_back(txn);
-    } else {
-      manager_->ExecuteAndCommit(txn, phase);
-    }
-    ++server_commits_;
-    if (server_trace_ != nullptr) {
-      TraceEvent e;
-      e.type = TraceEventType::kCommit;
-      e.time = next_commit_time_;
-      e.cycle = phase;
-      e.value = txn.id;
-      server_trace_->Record(e);
-    }
-    const SimTime prev = next_commit_time_;
-    const bool prev_pre = next_commit_pre_flip_;
-    next_commit_time_ = prev + server_workload_->NextInterval();
-    next_commit_pre_flip_ = FiresBeforeFlip(next_commit_time_, prev, prev_pre, cycle_bits_);
-  }
-  // Pooled mode: execute the phase's staged transactions concurrently and
-  // fold the serialization order now — still before the work barrier, so the
-  // snapshot published in the exclusive section reflects every commit of
-  // this phase (the same cycle-granular visibility as the serial path).
-  if (txn_processor_ != nullptr && !pending_server_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteBatch(pending_server_txns_);
-    FoldIntoManager(committed, *manager_, phase);
-    pending_server_txns_.clear();
-  }
-}
-
 void ConcurrentSim::StageServerPhase(Cycle phase) {
-  // Uplink mode: runs inside the exclusive section preceding the phase, so
-  // by the time client threads validate uplinks against the overlay, every
-  // server transaction of their cycle is already staged (conservative
-  // relative to the DES's event-time staging, and immutable all phase).
-  while (PhaseOf(next_commit_time_, next_commit_pre_flip_, cycle_bits_) == phase) {
-    const ServerTxn txn = server_workload_->NextTxn();
-    mc_overlay_->Stage(txn.write_set, phase);
-    pending_server_txns_.push_back(txn);
+  core_->CommitCycle(phase, [&](const ServerTxn& txn, SimTime at) {
     ++server_commits_;
-    if (server_trace_ != nullptr) {
-      TraceEvent e;
-      e.type = TraceEventType::kCommit;
-      e.time = next_commit_time_;
-      e.cycle = phase;
-      e.value = txn.id;
-      server_trace_->Record(e);
-    }
-    const SimTime prev = next_commit_time_;
-    const bool prev_pre = next_commit_pre_flip_;
-    next_commit_time_ = prev + server_workload_->NextInterval();
-    next_commit_pre_flip_ = FiresBeforeFlip(next_commit_time_, prev, prev_pre, cycle_bits_);
-  }
-}
-
-void ConcurrentSim::FoldPhase(Cycle phase) {
-  // Accepted uplinks first, serially, in acceptance order: validation
-  // guaranteed each one's reads are disjoint from every write staged before
-  // it was accepted, so the serial prefix places each uplink exactly where
-  // the client's broadcast reads put it (see BroadcastSim::FlushServerBatch).
-  if (!pending_uplink_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteSerial(pending_uplink_txns_);
-    FoldIntoManager(committed, *manager_, phase);
-    pending_uplink_txns_.clear();
-  }
-  if (!pending_server_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteBatch(pending_server_txns_);
-    FoldIntoManager(committed, *manager_, phase);
-    pending_server_txns_.clear();
-  }
-  mc_overlay_->Clear();
+    if (server_trace_ == nullptr) return;
+    TraceEvent e;
+    e.type = TraceEventType::kCommit;
+    e.time = at;
+    e.cycle = phase;
+    e.value = txn.id;
+    server_trace_->Record(e);
+  });
 }
 
 StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
@@ -442,59 +351,13 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
 
   // Setup mirrors BroadcastSim::Run — the root RNG split order is part of
   // the cross-engine contract.
-  const bool f_family = config_.algorithm == Algorithm::kFMatrix ||
-                        config_.algorithm == Algorithm::kFMatrixNo;
-  const bool sparse_mode = config_.matrix_mode == MatrixMode::kSparse;
-  TxnManagerOptions manager_options;
-  manager_options.maintain_f_matrix = (f_family && !sparse_mode) || config_.record_history;
-  manager_options.maintain_sparse_matrix = f_family && sparse_mode;
-  manager_options.maintain_mc_vector = true;
-  manager_options.record_history = config_.record_history;
-  manager_ = std::make_unique<ServerTxnManager>(config_.num_objects, manager_options);
-
-  server_ = std::make_unique<BroadcastServer>(config_.num_objects, geometry_);
-  if (config_.hot_set_size > 0 && config_.hot_broadcast_frequency > 1) {
-    std::vector<uint32_t> frequencies(config_.num_objects, 1);
-    for (uint32_t i = 0; i < config_.hot_set_size; ++i) {
-      frequencies[i] = config_.hot_broadcast_frequency;
-    }
-    BCC_ASSIGN_OR_RETURN(BroadcastSchedule schedule,
-                         BroadcastSchedule::FromFrequencies(frequencies));
-    server_->SetSchedule(std::move(schedule));
-  }
-  std::optional<ObjectPartition> partition;
-  if (f_family && config_.num_groups > 0 && config_.num_groups < config_.num_objects) {
-    partition = ObjectPartition::Blocks(config_.num_objects, config_.num_groups);
-    server_->SetPartition(*partition);
-  }
-
   Rng root(config_.seed);
-  server_workload_ = std::make_unique<ServerWorkload>(config_, root.Split());
-  if (config_.update_scheme != UpdateScheme::kSequential) {
-    txn_processor_ = std::make_unique<TxnProcessor>(config_.num_objects, config_.update_scheme,
-                                                    config_.update_workers);
-    // Pooled-apply: the cycle-batch F-Matrix fold borrows the processor's
-    // worker pool, partitioned by column (bit-identical to the serial fold).
-    // The fold only ever runs in the exclusive section, when the pool is
-    // otherwise idle.
-    manager_->SetParallelFold(
-        [this](uint32_t shards, const std::function<void(uint32_t)>& body) {
-          txn_processor_->RunShards(shards, body);
-        },
-        config_.update_workers);
-  }
+  BCC_ASSIGN_OR_RETURN(core_,
+                       ServerCycle::Create(config_, root, config_.client_update_fraction > 0.0));
+  next_client_update_id_ = 2 * kClientTxnIdBase;  // disjoint id range
 
   std::optional<CycleStampCodec> codec;
   if (config_.use_wire_codec) codec.emplace(config_.timestamp_bits);
-
-  if (config_.client_update_fraction > 0.0) {
-    validator_ = std::make_unique<UpdateValidator>(manager_.get());
-    mc_overlay_ = std::make_unique<McOverlay>(config_.num_objects);
-    next_client_update_id_ = 2 * kClientTxnIdBase;  // disjoint id range
-    validator_->AttachStagedMode(mc_overlay_.get(), [this](ServerTxn&& txn) {
-      pending_uplink_txns_.push_back(std::move(txn));
-    });
-  }
 
   clients_.clear();
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
@@ -520,7 +383,7 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
                                               config_.num_clients);
   }
 
-  cycle_bits_ = server_->CycleLengthBits();
+  cycle_bits_ = core_->server().CycleLengthBits();
   const auto trace_cycle_start = [this](Cycle cycle) {
     if (server_trace_ == nullptr) return;
     TraceEvent slice;
@@ -536,16 +399,14 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
     tx.value = config_.num_objects;
     server_trace_->Record(tx);
   };
-  server_->BeginCycle(1, 0, *manager_);
+  core_->BeginCycle(1, 0);
   trace_cycle_start(1);
-  published_ = std::make_shared<const CycleSnapshot>(server_->snapshot());
+  published_ = std::make_shared<const CycleSnapshot>(core_->server().snapshot());
   if (channel_ != nullptr) {
     published_frames_ = std::make_shared<const std::vector<Frame>>(
         EncodeCycleFrames(*published_, *frame_codec_, config_.object_size_bits));
   }
 
-  next_commit_time_ = server_workload_->NextInterval();
-  next_commit_pre_flip_ = FiresBeforeFlip(next_commit_time_, 0, false, cycle_bits_);
   for (auto& cs : clients_) {
     const SimTime at = cs->workload.NextInterTxnDelay();
     cs->ev = ClientState::Event{ClientState::Kind::kSubmit, at,
@@ -565,7 +426,7 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
   // Uplink mode: cycle 1's server transactions are staged before any client
   // thread exists, so the overlay is complete and immutable for the whole
   // first phase (later phases stage in the preceding exclusive section).
-  if (validator_ != nullptr) StageServerPhase(1);
+  if (core_->uplink()) StageServerPhase(1);
 
   std::vector<std::jthread> threads;
   threads.reserve(config_.num_clients);
@@ -594,25 +455,30 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
     // Uplink mode keeps the manager untouched during the work phase (desk
     // validations read its MC vector concurrently): this phase's server
     // transactions were already staged in the previous exclusive section,
-    // and the fold below applies them after the work barrier.
-    if (validator_ == nullptr) ProcessServerPhase(phase);
+    // and the fold below applies them after the work barrier. Otherwise the
+    // server thread commits and folds the phase while clients read, so the
+    // snapshot published next sees every commit of this phase.
+    if (!core_->uplink()) {
+      StageServerPhase(phase);
+      core_->Fold(phase);
+    }
     work_done.arrive_and_wait();
     // Exclusive section: every client thread is parked between the two
     // barriers, so the snapshot swap and stop verdict are race-free.
-    if (validator_ != nullptr) FoldPhase(phase);
+    if (core_->uplink()) core_->Fold(phase);
     cycles = phase;
     stop = config_.stop_after_cycles > 0
                ? phase >= config_.stop_after_cycles
                : completions_.load(std::memory_order_relaxed) >= config_.num_client_txns;
     if (!stop) {
-      server_->BeginCycle(phase + 1, phase * cycle_bits_, *manager_);
+      core_->BeginCycle(phase + 1, phase * cycle_bits_);
       trace_cycle_start(phase + 1);
-      published_ = std::make_shared<const CycleSnapshot>(server_->snapshot());
+      published_ = std::make_shared<const CycleSnapshot>(core_->server().snapshot());
       if (channel_ != nullptr) {
         published_frames_ = std::make_shared<const std::vector<Frame>>(
             EncodeCycleFrames(*published_, *frame_codec_, config_.object_size_bits));
       }
-      if (validator_ != nullptr) StageServerPhase(phase + 1);
+      if (core_->uplink()) StageServerPhase(phase + 1);
     }
     publish_done.arrive_and_wait();
     if (stop) break;

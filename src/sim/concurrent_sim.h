@@ -38,11 +38,7 @@
 #include "channel/lossy_channel.h"
 #include "common/statusor.h"
 #include "obs/trace.h"
-#include "server/broadcast_server.h"
-#include "server/exec/txn_processor.h"
-#include "server/mc_overlay.h"
-#include "server/txn_manager.h"
-#include "server/validator.h"
+#include "server/server_cycle.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
 #include "sim/workload.h"
@@ -73,8 +69,8 @@ struct ConcurrentSummary {
 /// Config restrictions (InvalidArgument otherwise): client caching is not
 /// supported yet (quasi-cache currency is wall-clock based). Client update
 /// transactions are supported with a pooled update scheme only: uplink
-/// validation serializes through a per-run "desk" mutex over the validator,
-/// the cycle-epoch McOverlay, and the pending-uplink list, while the manager
+/// validation serializes through a per-run "desk" mutex over the core's
+/// validator, MC overlay and pending-uplink queue, while the manager
 /// itself is mutated only inside the cycle-boundary exclusive section (the
 /// fold), so mid-phase MC reads are race-free. The engine stages a phase's
 /// server transactions — and their overlay MC effects — in the *previous*
@@ -98,7 +94,7 @@ class ConcurrentSim {
 
   const SimConfig& config() const { return config_; }
   /// Final server state (valid after Run).
-  const ServerTxnManager& manager() const { return *manager_; }
+  const ServerTxnManager& manager() const { return core_->manager(); }
   /// Per-client transaction decision logs, in completion order (empty
   /// unless config.record_decisions).
   const std::vector<std::vector<TxnDecision>>& decisions() const { return decisions_; }
@@ -116,48 +112,24 @@ class ConcurrentSim {
   /// `phase`, reading from the immutable `snap` (= cycle `phase`'s state).
   void ProcessClientPhase(ClientState& cs, Cycle phase, const CycleSnapshot& snap);
 
-  /// Executes every server commit belonging to broadcast cycle `phase`
-  /// into the staging manager. In pooled mode (update_scheme !=
-  /// kSequential) the phase's transactions run concurrently on the
-  /// TxnProcessor and their serialization order is folded before returning,
-  /// so the snapshot published at the next barrier sees them all. Not used
-  /// in uplink mode (see StageServerPhase/FoldPhase).
-  void ProcessServerPhase(Cycle phase);
-
-  /// Uplink mode: generates broadcast cycle `phase`'s server transactions
-  /// and stages their MC effects into the overlay, without touching the
-  /// manager. Runs inside the exclusive section *before* the phase's client
-  /// work, so the overlay is immutable to the server for the whole phase
-  /// and every mid-phase uplink validation sees the cycle's server writes.
+  /// Commits broadcast cycle `phase`'s server transactions into the core
+  /// (ServerCycle::CommitCycle) and traces them. Without uplinks the server
+  /// thread runs it during the phase, followed by the fold; with uplinks it
+  /// runs in the exclusive section *before* the phase, so the overlay is
+  /// complete and immutable while client threads validate against it.
   void StageServerPhase(Cycle phase);
-
-  /// Uplink mode: the cycle-boundary fold, inside the exclusive section.
-  /// Accepted uplink transactions commit first as a serial prefix in
-  /// acceptance order (TxnProcessor::ExecuteSerial), then the phase's
-  /// pooled server batch; both fold into the manager and the overlay epoch
-  /// retires.
-  void FoldPhase(Cycle phase);
 
   SimConfig config_;
   BroadcastGeometry geometry_;
   SimTime cycle_bits_ = 0;
 
-  std::unique_ptr<ServerTxnManager> manager_;
-  std::unique_ptr<BroadcastServer> server_;
-  std::unique_ptr<ServerWorkload> server_workload_;
-  /// Pooled update engine and its per-phase staging queue (null/unused in
-  /// sequential mode). Touched only by the server thread.
-  std::unique_ptr<TxnProcessor> txn_processor_;
-  std::vector<ServerTxn> pending_server_txns_;
+  std::unique_ptr<ServerCycle> core_;
   /// Uplink mode (client_update_fraction > 0, pooled scheme). The desk
   /// mutex serializes every mid-phase uplink validation: it guards the
-  /// validator, the overlay, the pending-uplink list, and the id counter.
-  /// Desk order is acceptance order is fold order. The server thread reads
-  /// this state only inside the exclusive section (the barriers order it
+  /// core's validator, overlay and pending-uplink queue, and the id counter.
+  /// Desk order is acceptance order is fold order. The server thread touches
+  /// that state only inside the exclusive section (the barriers order it
   /// against the phase's desk traffic).
-  std::unique_ptr<UpdateValidator> validator_;
-  std::unique_ptr<McOverlay> mc_overlay_;
-  std::vector<ServerTxn> pending_uplink_txns_;
   std::mutex uplink_mu_;
   TxnId next_client_update_id_ = 0;
   std::vector<std::unique_ptr<ClientState>> clients_;
@@ -173,9 +145,6 @@ class ConcurrentSim {
   std::optional<FrameCodec> frame_codec_;  // channel mode
   std::unique_ptr<LossyChannel> channel_;  // channel mode
 
-  // Server-side commit event state (mirrors the DES commit stream).
-  SimTime next_commit_time_ = 0;
-  bool next_commit_pre_flip_ = false;
   uint64_t server_commits_ = 0;
 
   /// Completed client transactions across all threads; drives the

@@ -18,6 +18,11 @@ struct LatticeCase {
   int trials;
 };
 
+// Without this gtest prints the raw object bytes, which include the address
+// of `name` and so change from run to run (ASLR) — and the discovered ctest
+// names embed that printout.
+void PrintTo(const LatticeCase& tc, std::ostream* os) { *os << tc.name; }
+
 class LatticePropertyTest : public ::testing::TestWithParam<LatticeCase> {};
 
 TEST_P(LatticePropertyTest, Figure1ImplicationsHold) {

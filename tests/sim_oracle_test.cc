@@ -27,6 +27,11 @@ struct OracleCase {
   uint64_t seed;
 };
 
+// Without this gtest prints the raw object bytes, which include the address
+// of `name` and so change from run to run (ASLR) — and the discovered ctest
+// names embed that printout.
+void PrintTo(const OracleCase& oc, std::ostream* os) { *os << oc.name; }
+
 SimConfig OracleConfig(const OracleCase& oc) {
   SimConfig c;
   c.algorithm = oc.algorithm;
