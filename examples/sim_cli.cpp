@@ -42,13 +42,10 @@ void PrintHelp() {
       "  --groups=N                grouped-control columns     (0 = native)\n"
       "  --hot-set=N --hot-freq=N  multi-speed disk            (off)\n"
       "  --hot-access=F            client+server hot-set skew  (uniform)\n"
-      "  --matrix=dense|sparse|group:G|hier  control-matrix representation\n"
-      "                            (dense; sparse = CSC O(nnz), hier =\n"
-      "                            adaptive group hierarchy; DESIGN.md §4l)\n"
+      "  --matrix=dense|sparse|group:G  control-matrix representation\n"
+      "                            (dense; sparse = CSC O(nnz); DESIGN.md §4l)\n"
       "  --compaction-period=N     sparse wraparound compaction every N\n"
       "                            cycles (0 = off; needs wire codec)\n"
-      "  --hier-groups=N           hier initial group count    (64)\n"
-      "  --hier-refine-limit=N     max refined columns         (1024)\n"
       "  --delta                   snapshot+delta control mode (off)\n"
       "  --delta-refresh=N         full refresh every N cycles (8)\n"
       "  --channel                 frame-level broadcast channel (off;\n"
@@ -151,10 +148,6 @@ int main(int argc, char** argv) {
       }
     } else if (ParseFlag(argv[i], "--compaction-period", &v)) {
       config.sparse_compaction_period = std::strtoull(v, nullptr, 10);
-    } else if (ParseFlag(argv[i], "--hier-groups", &v)) {
-      config.hier_initial_groups = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (ParseFlag(argv[i], "--hier-refine-limit", &v)) {
-      config.hier_refine_limit = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (std::strcmp(argv[i], "--delta") == 0) {
       config.delta_broadcast = true;
     } else if (ParseFlag(argv[i], "--delta-refresh", &v)) {
@@ -214,9 +207,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // The hierarchical matrix validates raw absolute stamps (Validate rejects
-  // the wire codec in hier mode), so make --matrix=hier usable directly.
-  if (config.matrix_mode == MatrixMode::kHier) config.use_wire_codec = false;
   if (cache_cycles > 0) {
     config.enable_cache = true;
     config.cache_currency_bound = static_cast<SimTime>(

@@ -19,17 +19,6 @@ Cycle ReadOnlyTxnProtocol::Stamp(Cycle raw, Cycle current) const {
 }
 
 bool ReadOnlyTxnProtocol::CheckFMatrix(const CycleSnapshot& snap, ObjectId ob) {
-  if (hier_control_override_ != nullptr) {
-    // Hierarchical view: no codec round trip (Validate rejects the wire
-    // codec in hier mode), conservative group check with spurious-abort
-    // classification inside the scan.
-    const size_t fail = hier_control_override_->ReadConditionScan(reads_, ob, snap.cycle);
-    if (fail == kReadConditionPass) return true;
-    const ReadRecord& r = reads_[fail];
-    last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle,
-                   hier_control_override_->EffectiveAt(r.object, ob)};
-    return false;
-  }
   if (snap.group_matrix.has_value()) {
     // Grouped spectrum (Section 3.2.2): MC(i, group(j)) < cycle.
     const GroupMatrix& gm = *snap.group_matrix;

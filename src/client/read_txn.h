@@ -89,16 +89,6 @@ class ReadOnlyTxnProtocol {
   }
   const SparseFMatrix* sparse_control_override() const { return sparse_control_override_; }
 
-  /// Routes every F-family check through a hierarchical matrix
-  /// (MatrixMode::kHier): unrefined columns validate against the group
-  /// aggregate (conservative — spurious aborts only), refined ones against
-  /// the exact column. Mutable because scans record spurious-abort evidence
-  /// for the refinement policy. Takes precedence over every other control
-  /// source; incompatible with the cache and the wire codec (enforced by
-  /// SimConfig::Validate).
-  void set_hier_control_override(HierMatrix* matrix) { hier_control_override_ = matrix; }
-  HierMatrix* hier_control_override() const { return hier_control_override_; }
-
   /// Gates the per-read capture of the full consulted control column
   /// (F-family, ungrouped). The capture is O(n) per read and exists solely
   /// so later *stale* cached reads can be validated against it — a client
@@ -145,7 +135,6 @@ class ReadOnlyTxnProtocol {
   std::optional<CycleStampCodec> codec_;
   const FMatrix* control_override_ = nullptr;
   const SparseFMatrix* sparse_control_override_ = nullptr;
-  HierMatrix* hier_control_override_ = nullptr;
   const std::vector<ObjectVersion>* value_override_ = nullptr;
   bool capture_columns_ = true;
   std::vector<ReadRecord> reads_;

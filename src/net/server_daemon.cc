@@ -74,6 +74,8 @@ class ServerDaemon {
   Status CollectStats();
   Status DrainUplink();
   Status HandleUplink(const InDatagram& dgram);
+  /// Index of the client that sent HELLO from `addr`, or clients_.size().
+  size_t SlotOf(const SockAddr& addr) const;
   Status CheckWatchdog() const;
   Status MaybeLogMetrics();
   void MaybeWarnSlowCycle(const CyclePacer& pacer, Cycle cycle, uint64_t cycle_us);
@@ -149,11 +151,6 @@ class ServerDaemon {
 };
 
 Status ServerDaemon::SetUpEngine() {
-  if (sim_.matrix_mode == MatrixMode::kHier) {
-    return Status::InvalidArgument(
-        "the networked tier does not support matrix_mode=hier (its refinement policy is "
-        "driven by the in-process simulators)");
-  }
   if (sim_.sparse_compaction_period > 0) {
     return Status::InvalidArgument(
         "the networked tier does not support sparse_compaction_period");
@@ -312,13 +309,7 @@ Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
     case MsgKind::kHello: {
       const auto hello = DecodeHello(dgram.bytes);
       if (!hello.ok()) return Status::OK();
-      size_t index = clients_.size();
-      for (size_t i = 0; i < clients_.size(); ++i) {
-        if (clients_[i].addr == dgram.from) {
-          index = i;
-          break;
-        }
-      }
+      const size_t index = SlotOf(dgram.from);
       if (index == clients_.size()) {
         if (clients_.size() >= net_.expected_clients) return Status::OK();  // full house
         ClientSlot slot;
@@ -349,7 +340,9 @@ Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
       const uint64_t t0_us = wall_.ElapsedUs();
       const bool accepted = core_->ValidateUplink(request, current);
       HistogramRecord(m_validate_us_, wall_.ElapsedUs() - t0_us);
-      const uint32_t ci = update->client_index;
+      // Per-client metrics and trace go to the HELLO-registered sender, not
+      // to the index the datagram claims; unregistered senders feed neither.
+      const size_t ci = SlotOf(dgram.from);
       const bool tracked = ci < client_metrics_.size();
       if (accepted) {
         ++stats_.uplink_accepts;
@@ -379,7 +372,7 @@ Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
       if (record_decisions_) {
         UplinkDecision d;
         d.id = request.id;
-        d.client_index = ci;
+        d.client_index = update->client_index;
         d.cycle = current;
         d.accepted = accepted;
         if (!accepted) d.cause = core_->last_reject();
@@ -405,22 +398,31 @@ Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
       if (!collecting_stats_) return Status::OK();
       const auto stats = DecodeStats(dgram.bytes);
       if (!stats.ok()) return Status::OK();
-      if (stats->client_index < clients_.size()) {
-        ClientSlot& slot = clients_[stats->client_index];
-        if (!slot.stats_received) {
-          slot.stats_received = true;
-          slot.stats = *stats;
-        }
-        if (stats->client_index < client_metrics_.size()) {
-          GaugeSet(client_metrics_[stats->client_index].frames_dropped,
-                   static_cast<int64_t>(stats->channel.frames_dropped));
-        }
+      // Attributed by source address: a STATS from an address that never
+      // sent HELLO is dropped, whatever client_index it claims.
+      const size_t index = SlotOf(dgram.from);
+      if (index == clients_.size()) return Status::OK();
+      ClientSlot& slot = clients_[index];
+      if (!slot.stats_received) {
+        slot.stats_received = true;
+        slot.stats = *stats;
+      }
+      if (index < client_metrics_.size()) {
+        GaugeSet(client_metrics_[index].frames_dropped,
+                 static_cast<int64_t>(stats->channel.frames_dropped));
       }
       return Status::OK();
     }
     default:
       return Status::OK();
   }
+}
+
+size_t ServerDaemon::SlotOf(const SockAddr& addr) const {
+  for (size_t i = 0; i < clients_.size(); ++i) {
+    if (clients_[i].addr == addr) return i;
+  }
+  return clients_.size();
 }
 
 Status ServerDaemon::WaitForClients() {

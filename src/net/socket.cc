@@ -79,10 +79,6 @@ Status UdpSocket::Open() {
 
 Status UdpSocket::Bind(const Endpoint& endpoint) {
   BCC_ASSIGN_OR_RETURN(const SockAddr addr, ResolveEndpoint(endpoint));
-  const int one = 1;
-  if (setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) < 0) {
-    return Errno("setsockopt(SO_REUSEADDR)");
-  }
   if (bind(fd_, reinterpret_cast<const sockaddr*>(&addr.sin), sizeof(addr.sin)) < 0) {
     return Errno("bind");
   }
@@ -110,6 +106,13 @@ Status UdpSocket::JoinMulticast(const Endpoint& group) {
   Endpoint any;
   any.ip = "0.0.0.0";
   any.port = group.port;
+  // Every receiver of the group on this host binds the group's port. Only
+  // here is SO_REUSEADDR wanted: on a port-0 bind it lets the kernel hand
+  // two sockets the same ephemeral port.
+  const int one = 1;
+  if (setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) < 0) {
+    return Errno("setsockopt(SO_REUSEADDR)");
+  }
   BCC_RETURN_IF_ERROR(Bind(any));
   ip_mreq mreq = {};
   if (inet_pton(AF_INET, group.ip.c_str(), &mreq.imr_multiaddr) != 1) {

@@ -76,9 +76,7 @@ class BroadcastServer {
   /// first BeginCycle — the paper's fixed-g protocol has no safe runtime
   /// g-change (clients validate against the partition the cycle was
   /// broadcast with; swapping it mid-run would mix two coarse views within
-  /// one validation). The adaptive-g path is MatrixMode::kHier, whose
-  /// HierMatrix regroups only at cycle boundaries, against its own exact
-  /// matrix.
+  /// one validation).
   void SetPartition(const ObjectPartition& partition) {
     assert(!started_ && "the fixed-g partition cannot change after the first cycle");
     partition_ = partition;

@@ -19,15 +19,12 @@ Status ServerCycle::Init(const SimConfig& config, Rng& root, bool uplink) {
   const bool f_family =
       config.algorithm == Algorithm::kFMatrix || config.algorithm == Algorithm::kFMatrixNo;
   const bool sparse_mode = config.matrix_mode == MatrixMode::kSparse;
-  const bool hier_mode = config.matrix_mode == MatrixMode::kHier;
   TxnManagerOptions options;
-  // In sparse/hier mode the dense matrix is maintained only when the oracle
+  // In sparse mode the dense matrix is maintained only when the oracle
   // needs it (record_history) — it is O(n^2) and the snapshot path prefers
   // the sparse representation regardless.
-  options.maintain_f_matrix = (f_family && !sparse_mode && !hier_mode) || config.record_history;
+  options.maintain_f_matrix = (f_family && !sparse_mode) || config.record_history;
   options.maintain_sparse_matrix = f_family && sparse_mode;
-  options.maintain_hier_matrix = hier_mode;
-  options.hier_options = config.HierOptions();
   options.maintain_mc_vector = true;
   options.record_history = config.record_history;
   options.track_dirty_columns = config.delta_broadcast;

@@ -10,9 +10,6 @@ ServerTxnManager::ServerTxnManager(uint32_t num_objects, TxnManagerOptions optio
       f_matrix_(options.maintain_f_matrix ? num_objects : 0),
       sparse_f_matrix_(options.maintain_sparse_matrix ? num_objects : 0),
       mc_vector_(options.maintain_mc_vector ? num_objects : 0) {
-  if (options_.maintain_hier_matrix) {
-    hier_matrix_.emplace(num_objects, options_.hier_options);
-  }
   if (options_.track_dirty_columns) {
     assert((options_.maintain_f_matrix || options_.maintain_sparse_matrix) &&
            "dirty tracking requires a control matrix");
@@ -46,8 +43,7 @@ std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& t
   // Control information (Theorem 2 incremental maintenance). With batching
   // enabled the control-matrix work is queued and fused per cycle
   // (ApplyCommitBatch); a cycle change flushes the previous batch.
-  if (options_.maintain_f_matrix || options_.maintain_sparse_matrix ||
-      options_.maintain_hier_matrix) {
+  if (options_.maintain_f_matrix || options_.maintain_sparse_matrix) {
     if (options_.batch_commit_maintenance) {
       if (batch_size_ > 0 && cycle != batch_cycle_) FlushCommitBatch();
       batch_cycle_ = cycle;
@@ -59,9 +55,6 @@ std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& t
       if (options_.maintain_f_matrix) f_matrix_.ApplyCommit(txn.read_set, txn.write_set, cycle);
       if (options_.maintain_sparse_matrix) {
         sparse_f_matrix_.ApplyCommit(txn.read_set, txn.write_set, cycle);
-      }
-      if (options_.maintain_hier_matrix) {
-        hier_matrix_->ApplyCommit(txn.read_set, txn.write_set, cycle);
       }
     }
   }
@@ -87,7 +80,6 @@ void ServerTxnManager::FlushCommitBatch() {
     }
   }
   if (options_.maintain_sparse_matrix) sparse_f_matrix_.ApplyCommitBatch(commits, batch_cycle_);
-  if (options_.maintain_hier_matrix) hier_matrix_->ApplyCommitBatch(commits, batch_cycle_);
 }
 
 }  // namespace bcc

@@ -17,12 +17,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include <optional>
-
 #include "history/history.h"
 #include "history/object_id.h"
 #include "matrix/f_matrix.h"
-#include "matrix/hier_matrix.h"
 #include "matrix/mc_vector.h"
 #include "matrix/sparse_f_matrix.h"
 #include "server/store.h"
@@ -60,11 +57,6 @@ struct TxnManagerOptions {
   /// the sims enable exactly one. Dirty-column drains prefer the sparse
   /// matrix when both track.
   bool maintain_sparse_matrix = false;
-  /// Maintain the hierarchical matrix (MatrixMode::kHier) with these policy
-  /// options. The sim drives its cycle-boundary policy via
-  /// hier_matrix()->EndOfCycle.
-  bool maintain_hier_matrix = false;
-  HierMatrixOptions hier_options = {};
 };
 
 /// Serial update-transaction executor.
@@ -115,14 +107,6 @@ class ServerTxnManager {
   uint64_t CompactSparseMatrix(const CycleStampCodec& codec, Cycle current) {
     FlushCommitBatch();
     return sparse_f_matrix_.CompactModulo(codec, current);
-  }
-
-  /// The hierarchical matrix (options.maintain_hier_matrix), mutable because
-  /// scans record spurious-abort evidence and EndOfCycle applies policy.
-  /// Flushes the pending batch first. nullptr when not maintained.
-  HierMatrix* hier_matrix() {
-    FlushCommitBatch();
-    return hier_matrix_ ? &*hier_matrix_ : nullptr;
   }
 
   /// Copy-on-write snapshot of the F-Matrix after every commit so far
@@ -177,7 +161,6 @@ class ServerTxnManager {
   VersionedStore store_;
   FMatrix f_matrix_;
   SparseFMatrix sparse_f_matrix_;
-  std::optional<HierMatrix> hier_matrix_;
   McVector mc_vector_;
   History history_;
   std::unordered_map<TxnId, Cycle> commit_cycles_;

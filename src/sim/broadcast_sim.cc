@@ -63,7 +63,6 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   Rng root(config_.seed);
   BCC_ASSIGN_OR_RETURN(core_,
                        ServerCycle::Create(config_, root, config_.client_update_fraction > 0.0));
-  if (config_.matrix_mode == MatrixMode::kHier) hier_ = core_->manager().hier_matrix();
 
   std::optional<CycleStampCodec> codec;
   if (config_.use_wire_codec) codec.emplace(config_.timestamp_bits);
@@ -71,9 +70,6 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   clients_.clear();
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
     clients_.push_back(std::make_unique<Client>(config_, root.Split(), codec));
-    // Hier mode: every client validates against the broadcast hierarchical
-    // view (raw pointer — no batch flush mid-cycle, see the hier_ comment).
-    if (hier_ != nullptr) clients_.back()->protocol.set_hier_control_override(hier_);
   }
   if (config_.record_decisions) decisions_.resize(config_.num_clients);
 
@@ -124,11 +120,6 @@ StatusOr<SimSummary> BroadcastSim::Run() {
                                           TotalCacheHits(), TotalCacheMisses());
   if (config_.matrix_mode == MatrixMode::kSparse) {
     summary.matrix_nnz = core_->manager().sparse_f_matrix().nnz();
-  } else if (hier_ != nullptr) {
-    summary.matrix_nnz = hier_->exact().nnz();
-    summary.hier = hier_->stats();
-    summary.hier_groups = hier_->num_groups();
-    summary.hier_refined_columns = hier_->refined_columns();
   }
   return summary;
 }
@@ -150,14 +141,6 @@ uint64_t BroadcastSim::TotalCacheMisses() const {
 }
 
 void BroadcastSim::EndOfCycleMatrixStep(Cycle ending) {
-  if (hier_ != nullptr) {
-    // The flushing accessor folds the ending cycle's queued commits into the
-    // exact matrix — the cycle boundary — before policy and accounting run.
-    core_->manager().hier_matrix();
-    metrics_.RecordMatrixCycle(hier_->ControlBits(config_.timestamp_bits));
-    hier_->EndOfCycle(ending, metrics_.abort_causes().Count(AbortCause::kControlConflict));
-    return;
-  }
   if (config_.matrix_mode != MatrixMode::kSparse) return;
   if (config_.sparse_compaction_period > 0 && ending % config_.sparse_compaction_period == 0) {
     metrics_.RecordSparseCompaction(

@@ -144,11 +144,9 @@ class BroadcastSim {
   // or through the receivers in channel mode).
   void AttachAndObserveDelta();
 
-  // Sparse/hier end-of-cycle control-plane step, run when cycle `ending`
+  // Sparse end-of-cycle control-plane step, run when cycle `ending`
   // closes: accounts the cycle's control footprint (matrix.nnz, control
-  // bits), runs scheduled sparse compaction, and drives the hierarchical
-  // refinement/regroup policy (HierMatrix::EndOfCycle) with the run's
-  // cumulative control-conflict abort count. No-op in dense mode.
+  // bits) and runs scheduled sparse compaction. No-op in dense mode.
   void EndOfCycleMatrixStep(Cycle ending);
 
   // Channel-mode per-cycle plumbing: packetizes the cycle's broadcast and
@@ -177,12 +175,6 @@ class BroadcastSim {
   EventQueue queue_;
 
   std::unique_ptr<ServerCycle> core_;
-  /// Hier mode: raw pointer into the manager's HierMatrix, grabbed once at
-  /// setup. Protocol scans go through this pointer WITHOUT the flushing
-  /// accessor, so mid-cycle validation always sees the frozen
-  /// begin-of-cycle view; the batch flush happens at cycle boundaries
-  /// (BuildSnapshot / EndOfCycleMatrixStep).
-  HierMatrix* hier_ = nullptr;
   std::vector<std::unique_ptr<Client>> clients_;
   std::optional<FrameCodec> frame_codec_;   // channel mode
   std::unique_ptr<LossyChannel> channel_;   // channel mode

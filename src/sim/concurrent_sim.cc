@@ -338,11 +338,6 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
     return Status::InvalidArgument(
         "ConcurrentSim does not support the snapshot+delta control broadcast yet");
   }
-  if (config_.matrix_mode == MatrixMode::kHier) {
-    return Status::InvalidArgument(
-        "ConcurrentSim does not support matrix_mode=hier (the refinement policy is driven "
-        "by the sequential DES)");
-  }
   if (config_.sparse_compaction_period > 0) {
     return Status::InvalidArgument(
         "ConcurrentSim does not support sparse_compaction_period (compaction rewrites "

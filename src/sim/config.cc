@@ -128,9 +128,7 @@ Status SimConfig::Validate() const {
       return Status::InvalidArgument("matrix_mode=sparse requires an F-family algorithm");
     }
     if (num_groups != 0) {
-      return Status::InvalidArgument(
-          "matrix_mode=sparse does not support grouped control (use matrix_mode=hier "
-          "for hierarchical grouping)");
+      return Status::InvalidArgument("matrix_mode=sparse does not support grouped control");
     }
     if (enable_cache) {
       return Status::InvalidArgument("matrix_mode=sparse does not support the client cache");
@@ -151,42 +149,6 @@ Status SimConfig::Validate() const {
           "diffs by value, so compaction would emit spurious entries)");
     }
   }
-  if (matrix_mode == MatrixMode::kHier) {
-    if (algorithm != Algorithm::kFMatrix) {
-      return Status::InvalidArgument("matrix_mode=hier requires the F-Matrix algorithm");
-    }
-    if (num_groups != 0) {
-      // The fixed-g GroupMatrix path and the adaptive hierarchy are distinct
-      // protocols; mixing them would validate against two different coarse
-      // views (see also the fixed-g invariant on BroadcastServer::SetPartition).
-      return Status::InvalidArgument("matrix_mode=hier is incompatible with num_groups");
-    }
-    if (delta_broadcast || channel_broadcast) {
-      return Status::InvalidArgument(
-          "matrix_mode=hier does not support delta or channel broadcast");
-    }
-    if (enable_cache) {
-      return Status::InvalidArgument("matrix_mode=hier does not support the client cache");
-    }
-    if (client_update_fraction > 0.0) {
-      return Status::InvalidArgument("matrix_mode=hier supports read-only clients only");
-    }
-    if (update_scheme != UpdateScheme::kSequential) {
-      return Status::InvalidArgument("matrix_mode=hier requires the sequential update scheme");
-    }
-    if (use_wire_codec) {
-      // The hierarchical view validates raw absolute stamps (group maxima
-      // have no on-air encoding yet); the TS-bit wire study is the
-      // dense/sparse path.
-      return Status::InvalidArgument("matrix_mode=hier does not support use_wire_codec");
-    }
-    if (hier_min_groups == 0 || hier_min_groups > hier_max_groups) {
-      return Status::InvalidArgument("hier group bounds must satisfy 1 <= min <= max");
-    }
-    if (hier_initial_groups == 0) {
-      return Status::InvalidArgument("hier_initial_groups must be >= 1");
-    }
-  }
   return Status::OK();
 }
 
@@ -196,22 +158,8 @@ std::string_view MatrixModeName(MatrixMode mode) {
       return "dense";
     case MatrixMode::kSparse:
       return "sparse";
-    case MatrixMode::kHier:
-      return "hier";
   }
   return "?";
-}
-
-HierMatrixOptions SimConfig::HierOptions() const {
-  HierMatrixOptions opts;
-  opts.initial_groups = hier_initial_groups;
-  opts.min_groups = hier_min_groups;
-  opts.max_groups = hier_max_groups;
-  opts.refine_limit = hier_refine_limit;
-  opts.coarsen_idle_cycles = hier_coarsen_idle_cycles;
-  opts.regroup_period = hier_regroup_period;
-  opts.split_threshold = hier_split_threshold;
-  return opts;
 }
 
 Status ParseMatrixOption(std::string_view value, SimConfig* config) {
@@ -221,10 +169,6 @@ Status ParseMatrixOption(std::string_view value, SimConfig* config) {
   }
   if (value == "sparse") {
     config->matrix_mode = MatrixMode::kSparse;
-    return Status::OK();
-  }
-  if (value == "hier") {
-    config->matrix_mode = MatrixMode::kHier;
     return Status::OK();
   }
   if (value.starts_with("group:")) {
@@ -244,7 +188,7 @@ Status ParseMatrixOption(std::string_view value, SimConfig* config) {
     config->num_groups = g;
     return Status::OK();
   }
-  return Status::InvalidArgument("--matrix must be dense, sparse, group:<g>, or hier");
+  return Status::InvalidArgument("--matrix must be one of dense, sparse, group:<g>");
 }
 
 ChannelFaultConfig SimConfig::ChannelFaults() const {
@@ -275,9 +219,6 @@ std::string SimConfig::ToString() const {
     out += StrFormat(" matrix=%s", std::string(MatrixModeName(matrix_mode)).c_str());
     if (matrix_mode == MatrixMode::kSparse && sparse_compaction_period > 0) {
       out += StrFormat("(compact=%llu)", static_cast<unsigned long long>(sparse_compaction_period));
-    }
-    if (matrix_mode == MatrixMode::kHier) {
-      out += StrFormat("(g=%u..%u)", hier_min_groups, hier_max_groups);
     }
   }
   if (channel_broadcast) {

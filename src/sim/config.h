@@ -9,7 +9,6 @@
 #include "channel/lossy_channel.h"
 #include "common/status.h"
 #include "des/event_queue.h"
-#include "matrix/hier_matrix.h"
 #include "matrix/wire.h"
 #include "server/exec/scheme.h"
 
@@ -20,8 +19,6 @@ enum class MatrixMode {
   kDense,   ///< the paper's n x n FMatrix — the bit-exactness oracle
   kSparse,  ///< compressed-sparse-column SparseFMatrix, value-identical to
             ///< dense; O(nnz) maintenance/diffing, sparse control accounting
-  kHier,    ///< hierarchical: coarse group columns, on-demand exact
-            ///< refinement, adaptive g (conservative, NOT bit-identical)
 };
 
 std::string_view MatrixModeName(MatrixMode mode);
@@ -122,11 +119,8 @@ struct SimConfig {
 
   /// Control-matrix representation. kSparse requires an F-family algorithm,
   /// ungrouped control, and no client cache; every decision stays
-  /// bit-identical to kDense (CrossCheckSparseMode). kHier additionally
-  /// requires kFMatrix, the sequential update scheme, read-only clients, and
-  /// no delta/channel broadcast; it is conservative rather than
-  /// bit-identical (spurious aborts only). The sim_cli spelling is
-  /// --matrix=dense|sparse|group:g|hier, where group:g is sugar for kDense
+  /// bit-identical to kDense (CrossCheckSparseMode). The sim_cli spelling is
+  /// --matrix=dense|sparse|group:g, where group:g is sugar for kDense
   /// with num_groups = g (the fixed-g paper path; see ParseMatrixOption).
   MatrixMode matrix_mode = MatrixMode::kDense;
   /// Sparse wraparound compaction: every this many cycles, rewrite entries to
@@ -138,17 +132,6 @@ struct SimConfig {
   /// bit-identical to dense. Requires use_wire_codec, matrix_mode == kSparse,
   /// and no delta broadcast (the delta base diffs by value).
   uint64_t sparse_compaction_period = 0;
-  /// Hierarchical-matrix policy knobs (HierMatrixOptions mirror).
-  uint32_t hier_initial_groups = 64;
-  uint32_t hier_min_groups = 1;
-  uint32_t hier_max_groups = 1u << 16;
-  uint32_t hier_refine_limit = 1024;
-  uint32_t hier_coarsen_idle_cycles = 64;
-  uint32_t hier_regroup_period = 32;
-  uint64_t hier_split_threshold = 4;
-
-  /// The hier knobs above as HierMatrixOptions.
-  HierMatrixOptions HierOptions() const;
 
   /// The channel knobs above as a ChannelFaultConfig.
   ChannelFaultConfig ChannelFaults() const;
@@ -195,7 +178,7 @@ struct SimConfig {
   std::string ToString() const;
 };
 
-/// Parses the --matrix=dense|sparse|group:<g>|hier spelling into
+/// Parses the --matrix=dense|sparse|group:<g> spelling into
 /// config->matrix_mode (and num_groups for group:<g>).
 Status ParseMatrixOption(std::string_view value, SimConfig* config);
 

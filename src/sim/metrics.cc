@@ -45,18 +45,6 @@ std::string SimSummary::ToString() const {
       out += StrFormat(" compactionDrops=%llu",
                        static_cast<unsigned long long>(sparse_compaction_drops));
     }
-    if (hier_groups > 0) {
-      out += StrFormat(
-          " hier(g=%u refined=%u refines=%llu coarsens=%llu regroups=%llu splits=%llu "
-          "merges=%llu spurious=%llu)",
-          hier_groups, hier_refined_columns,
-          static_cast<unsigned long long>(hier.refinements),
-          static_cast<unsigned long long>(hier.coarsenings),
-          static_cast<unsigned long long>(hier.regroups),
-          static_cast<unsigned long long>(hier.group_splits),
-          static_cast<unsigned long long>(hier.group_merges),
-          static_cast<unsigned long long>(hier.spurious_aborts));
-    }
   }
   if (channel.frames_sent > 0) {
     out += StrFormat(
@@ -195,27 +183,6 @@ std::string SimSummary::ToJson() const {
       .Value(matrix_control_bytes_per_cycle)
       .Key("sparse_compaction_drops")
       .Value(sparse_compaction_drops);
-  w.Key("hier")
-      .BeginObject()
-      .Key("groups")
-      .Value(hier_groups)
-      .Key("refined_columns")
-      .Value(hier_refined_columns)
-      .Key("refinements")
-      .Value(hier.refinements)
-      .Key("coarsenings")
-      .Value(hier.coarsenings)
-      .Key("regroups")
-      .Value(hier.regroups)
-      .Key("group_splits")
-      .Value(hier.group_splits)
-      .Key("group_merges")
-      .Value(hier.group_merges)
-      .Key("spurious_aborts")
-      .Value(hier.spurious_aborts)
-      .Key("group_rebuilds")
-      .Value(hier.group_rebuilds)
-      .EndObject();
   w.Key("abort_causes").BeginObject();
   for (size_t c = 1; c < kNumAbortCauses; ++c) {
     w.Key(AbortCauseName(static_cast<AbortCause>(c))).Value(abort_causes.counts[c]);

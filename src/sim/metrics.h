@@ -12,7 +12,6 @@
 #include "common/stats.h"
 #include "des/event_queue.h"
 #include "matrix/control_info.h"
-#include "matrix/hier_matrix.h"
 #include "obs/trace.h"
 
 namespace bcc {
@@ -74,19 +73,15 @@ struct SimSummary {
   /// all-zero otherwise).
   ChannelStats channel;
 
-  // Sparse/hierarchical control-matrix counters (matrix_mode != dense;
-  // all-zero otherwise).
-  uint64_t matrix_nnz = 0;            ///< final explicit entries in the sparse/exact matrix
-  uint64_t matrix_cycles = 0;         ///< cycles with sparse/hier control accounting
-  uint64_t matrix_control_bits = 0;   ///< summed sparse/hier control encoding, all cycles
+  // Sparse control-matrix counters (matrix_mode == sparse; all-zero
+  // otherwise).
+  uint64_t matrix_nnz = 0;            ///< final explicit entries in the sparse matrix
+  uint64_t matrix_cycles = 0;         ///< cycles with sparse control accounting
+  uint64_t matrix_control_bits = 0;   ///< summed sparse control encoding, all cycles
   /// matrix_control_bits / 8 / matrix_cycles — the headline sublinearity
   /// figure of BENCH_10.json.
   double matrix_control_bytes_per_cycle = 0.0;
   uint64_t sparse_compaction_drops = 0;  ///< entries dropped by CompactModulo
-  /// Hierarchical-mode policy counters and final partition shape.
-  HierStats hier;
-  uint32_t hier_groups = 0;
-  uint32_t hier_refined_columns = 0;
 
   /// Per-cause abort breakdown over the whole run (not warmup-filtered, so
   /// two engines replaying the same decisions report identical tables).
@@ -122,7 +117,7 @@ class SimMetrics {
   /// next full refresh).
   void RecordDeltaStall() { ++delta_stall_waits_; }
 
-  /// Accounts one cycle's sparse/hierarchical control encoding.
+  /// Accounts one cycle's sparse control encoding.
   void RecordMatrixCycle(uint64_t control_bits) {
     ++matrix_cycles_;
     matrix_control_bits_ += control_bits;

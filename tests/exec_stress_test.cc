@@ -20,6 +20,11 @@ struct StressCase {
   const char* name;
 };
 
+// Without this gtest prints the raw object bytes, which include the address
+// of `name` and the struct's padding, and the discovered ctest names embed
+// that printout.
+void PrintTo(const StressCase& sc, std::ostream* os) { *os << sc.name; }
+
 class ExecStressTest : public ::testing::TestWithParam<StressCase> {};
 
 TEST_P(ExecStressTest, ConcurrentBatchesStaySerializable) {

@@ -32,6 +32,16 @@ struct FuzzCase {
   int trials;
 };
 
+// The case's label: the test-name suffix and, through PrintTo, the
+// GetParam() printout. Without PrintTo gtest prints the raw object bytes,
+// padding included, and the discovered ctest names embed that printout.
+// Not an operator+ chain: GCC 12 at -O3 flags one with a false-positive
+// -Werror=restrict.
+std::string Label(const FuzzCase& fc) {
+  return StrFormat("n%ub%us%llu", fc.nodes, fc.bipaths, static_cast<unsigned long long>(fc.seed));
+}
+void PrintTo(const FuzzCase& fc, std::ostream* os) { *os << Label(fc); }
+
 class PolygraphFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(PolygraphFuzzTest, SearchMatchesBruteForce) {
@@ -94,10 +104,7 @@ INSTANTIATE_TEST_SUITE_P(Random, PolygraphFuzzTest,
                                            FuzzCase{3, 2, 8, 104, 150},
                                            FuzzCase{7, 8, 4, 105, 150}),
                          [](const ::testing::TestParamInfo<FuzzCase>& info) {
-                           // Not an operator+ chain: GCC 12 at -O3 flags one
-                           // with a false-positive -Werror=restrict.
-                           return StrFormat("n%ub%us%llu", info.param.nodes, info.param.bipaths,
-                                            static_cast<unsigned long long>(info.param.seed));
+                           return Label(info.param);
                          });
 
 }  // namespace

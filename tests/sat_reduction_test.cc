@@ -167,6 +167,16 @@ struct ReductionCase {
   int trials;
 };
 
+// The case's label: the test-name suffix and, through PrintTo, the
+// GetParam() printout. Without PrintTo gtest prints the raw object bytes,
+// padding included, and the discovered ctest names embed that printout.
+// Not an operator+ chain: GCC 12 at -O3 flags one with a false-positive
+// -Werror=restrict.
+std::string Label(const ReductionCase& rc) {
+  return StrFormat("v%uc%uw%u", rc.num_vars, rc.num_clauses, rc.max_width);
+}
+void PrintTo(const ReductionCase& rc, std::ostream* os) { *os << Label(rc); }
+
 class SatReductionPropertyTest : public ::testing::TestWithParam<ReductionCase> {};
 
 TEST_P(SatReductionPropertyTest, LegalityMatchesBruteForceSat) {
@@ -196,12 +206,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ReductionCase{2, 4, 2, 13, 15},
                       ReductionCase{3, 5, 2, 14, 15},
                       ReductionCase{3, 4, 3, 15, 15}),
-    [](const ::testing::TestParamInfo<ReductionCase>& info) {
-      // Not an operator+ chain: GCC 12 at -O3 flags one with a false-positive
-      // -Werror=restrict.
-      return StrFormat("v%uc%uw%u", info.param.num_vars, info.param.num_clauses,
-                       info.param.max_width);
-    });
+    [](const ::testing::TestParamInfo<ReductionCase>& info) { return Label(info.param); });
 
 }  // namespace
 }  // namespace bcc

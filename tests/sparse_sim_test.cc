@@ -1,15 +1,10 @@
-// Property suite for the sparse and hierarchical control-matrix tiers
-// (DESIGN.md §4l).
+// Property suite for the sparse control-matrix tier (DESIGN.md §4l).
 //
 // The sparse matrix is a pure representation change, so its contract is
 // bit-identity: across seeds, timestamp widths (including the ts = 2 and
 // ts = 3 wraparound regimes), delta broadcast, and the lossy channel, every
 // client decision, the final store, and the final control matrix must equal
-// the dense oracle's exactly. The hierarchical matrix is conservative by
-// design (MC >= C can only add spurious aborts), so its contract is safety:
-// every committed read passes the end-to-end oracle audit — plus exactness
-// in the degenerate singleton-group configuration, where the coarse bound
-// collapses to the dense value.
+// the dense oracle's exactly.
 
 #include <gtest/gtest.h>
 
@@ -195,86 +190,6 @@ TEST(SparseModeTest, ReportsFootprintAndPassesOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical matrix: conservative safety + degenerate exactness
-// ---------------------------------------------------------------------------
-
-SimConfig SmallHierConfig() {
-  SimConfig config = SmallSparseConfig();
-  config.matrix_mode = MatrixMode::kHier;
-  config.use_wire_codec = false;  // hier validates raw absolute stamps
-  config.hier_initial_groups = 4;
-  config.hier_regroup_period = 8;
-  config.hier_refine_limit = 16;
-  return config;
-}
-
-TEST(HierModeTest, RunsAndPassesOracleAcrossSeeds) {
-  // Conservative safety: whatever the refinement policy does, every
-  // committed read must survive the end-to-end oracle audit (currency,
-  // atomicity, APPROX mutual consistency).
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    SimConfig config = SmallHierConfig();
-    config.record_history = true;
-    config.seed = seed;
-    BroadcastSim sim(config);
-    const auto summary = sim.Run();
-    ASSERT_TRUE(summary.ok()) << "seed " << seed << ": " << summary.status().ToString();
-    EXPECT_GT(summary->hier_groups, 0u);
-    EXPECT_GT(summary->matrix_nnz, 0u);
-    const Status oracle = sim.VerifyOracle();
-    EXPECT_TRUE(oracle.ok()) << "seed " << seed << ": " << oracle.ToString();
-  }
-}
-
-TEST(HierModeTest, SingletonGroupsAreBitIdenticalToDense) {
-  // With one object per group the coarse bound MC(group(i), j) degenerates
-  // to the exact entry C(i, j), so hier decisions must equal dense ones
-  // bit-for-bit. Freeze the policy so the partition stays singleton.
-  for (const uint64_t seed : {3u, 11u, 27u}) {
-    SimConfig hier = SmallHierConfig();
-    hier.seed = seed;
-    hier.record_decisions = true;
-    hier.hier_initial_groups = hier.num_objects;
-    hier.hier_min_groups = hier.num_objects;
-    hier.hier_max_groups = hier.num_objects;
-    hier.hier_regroup_period = 1u << 30;
-    hier.hier_coarsen_idle_cycles = 1u << 30;
-    SimConfig dense = hier;
-    dense.matrix_mode = MatrixMode::kDense;
-
-    BroadcastSim hier_sim(hier);
-    const auto hier_summary = hier_sim.Run();
-    ASSERT_TRUE(hier_summary.ok()) << hier_summary.status().ToString();
-    BroadcastSim dense_sim(dense);
-    const auto dense_summary = dense_sim.Run();
-    ASSERT_TRUE(dense_summary.ok()) << dense_summary.status().ToString();
-
-    EXPECT_EQ(hier_summary->hier.spurious_aborts, 0u) << "seed " << seed;
-    ASSERT_EQ(hier_sim.decisions().size(), dense_sim.decisions().size());
-    for (size_t c = 0; c < hier_sim.decisions().size(); ++c) {
-      EXPECT_TRUE(hier_sim.decisions()[c] == dense_sim.decisions()[c])
-          << "seed " << seed << " client " << c << " decisions diverged";
-    }
-    EXPECT_TRUE(hier_sim.manager().store().committed() ==
-                dense_sim.manager().store().committed())
-        << "seed " << seed;
-  }
-}
-
-TEST(HierModeTest, AdaptivePolicyReportsActivity) {
-  // A coarse initial partition under a conflict-heavy stream must show the
-  // policy doing something: refinements or regroup activity in the stats.
-  SimConfig config = SmallHierConfig();
-  config.hier_initial_groups = 2;
-  config.stop_after_cycles = 120;
-  config.seed = 21;
-  BroadcastSim sim(config);
-  const auto summary = sim.Run();
-  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_GT(summary->hier.refinements + summary->hier.regroups + summary->hier.group_splits, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Mode plumbing and validation
 // ---------------------------------------------------------------------------
 
@@ -282,8 +197,6 @@ TEST(MatrixModeConfigTest, ParseMatrixOptionRoundTrips) {
   SimConfig config;
   ASSERT_TRUE(ParseMatrixOption("sparse", &config).ok());
   EXPECT_EQ(config.matrix_mode, MatrixMode::kSparse);
-  ASSERT_TRUE(ParseMatrixOption("hier", &config).ok());
-  EXPECT_EQ(config.matrix_mode, MatrixMode::kHier);
   ASSERT_TRUE(ParseMatrixOption("dense", &config).ok());
   EXPECT_EQ(config.matrix_mode, MatrixMode::kDense);
   ASSERT_TRUE(ParseMatrixOption("group:8", &config).ok());
@@ -291,6 +204,10 @@ TEST(MatrixModeConfigTest, ParseMatrixOptionRoundTrips) {
   EXPECT_FALSE(ParseMatrixOption("group:", &config).ok());
   EXPECT_FALSE(ParseMatrixOption("group:x", &config).ok());
   EXPECT_FALSE(ParseMatrixOption("banana", &config).ok());
+  // The retired hierarchical mode is an unknown spelling like any other.
+  const Status hier = ParseMatrixOption("hier", &config);
+  EXPECT_TRUE(hier.IsInvalidArgument());
+  EXPECT_EQ(hier.message(), "--matrix must be one of dense, sparse, group:<g>");
 }
 
 TEST(MatrixModeConfigTest, ValidateRejectsUnsupportedCombinations) {
@@ -303,22 +220,9 @@ TEST(MatrixModeConfigTest, ValidateRejectsUnsupportedCombinations) {
   compaction.sparse_compaction_period = 4;
   compaction.use_wire_codec = false;
   EXPECT_FALSE(compaction.Validate().ok()) << "compaction requires the wire codec";
-
-  SimConfig hier = SmallHierConfig();
-  hier.use_wire_codec = true;
-  EXPECT_FALSE(hier.Validate().ok()) << "hier + wire codec must be rejected";
-
-  SimConfig hier_delta = SmallHierConfig();
-  hier_delta.delta_broadcast = true;
-  EXPECT_FALSE(hier_delta.Validate().ok()) << "hier + delta must be rejected";
 }
 
-TEST(MatrixModeConfigTest, ConcurrentSimRejectsHierAndCompaction) {
-  SimConfig hier = SmallHierConfig();
-  ASSERT_TRUE(hier.Validate().ok());
-  ConcurrentSim hier_sim(hier);
-  EXPECT_FALSE(hier_sim.Run().ok());
-
+TEST(MatrixModeConfigTest, ConcurrentSimRejectsCompaction) {
   SimConfig compaction = SmallSparseConfig();
   compaction.sparse_compaction_period = 4;
   ASSERT_TRUE(compaction.Validate().ok());

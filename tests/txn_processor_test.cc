@@ -11,6 +11,12 @@
 #include "server/txn_manager.h"
 
 namespace bcc {
+
+// Prints the scheme's name instead of gtest's raw byte dump, which the
+// discovered ctest names embed. Outside the anonymous namespace so that
+// argument-dependent lookup finds it for bcc::UpdateScheme.
+void PrintTo(UpdateScheme scheme, std::ostream* os) { *os << UpdateSchemeName(scheme); }
+
 namespace {
 
 ServerTxn MakeTxn(TxnId id, std::vector<ObjectId> reads, std::vector<ObjectId> writes) {
