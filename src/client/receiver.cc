@@ -148,4 +148,25 @@ bool ChannelReceiver::ObserveControl(Cycle cycle, bool refresh, const Payload& p
   return true;
 }
 
+ReadStall CheckReadStall(const DeltaMatrixTracker* tracker, const ChannelReceiver* receiver,
+                         ObjectId ob, Cycle cycle) {
+  // A desynced tracker (or one stale after a lost control block, or past the
+  // TS decode window) cannot validate a read in this cycle; the next cycle's
+  // block may be the resynchronizing full refresh.
+  if (tracker != nullptr && tracker->Unusable(cycle)) return ReadStall::kDeltaDesync;
+  if (receiver == nullptr) return ReadStall::kNone;
+  const bool control_missing = tracker == nullptr && !receiver->ControlUsable(ob, cycle);
+  return control_missing || !receiver->DataUsable(ob, cycle) ? ReadStall::kChannelLoss
+                                                             : ReadStall::kNone;
+}
+
+AbortInfo AttributeAbort(AbortInfo cause, bool loss_stalled, bool desync_stalled) {
+  if (loss_stalled) {
+    cause.cause = AbortCause::kChannelLoss;
+  } else if (desync_stalled) {
+    cause.cause = AbortCause::kDesyncStall;
+  }
+  return cause;
+}
+
 }  // namespace bcc

@@ -94,6 +94,26 @@ class ChannelReceiver {
   TraceRing* trace_ = nullptr;
 };
 
+/// Why a read cannot be validated in the cycle it is attempted in.
+enum class ReadStall : uint8_t { kNone, kChannelLoss, kDeltaDesync };
+
+/// Section 3.1's missed-cycle rule, shared by every client engine (the
+/// in-process ClientTxn core and the UDP client): a read of `ob` in `cycle`
+/// validates only against control info and data received in that cycle. A
+/// stale column could carry lower stamps than the current matrix and falsely
+/// accept the read, so a lost page or column (or a delta tracker that cannot
+/// vouch for this cycle) stalls the read to the next cycle; older control
+/// info is never substituted. `tracker` is null outside delta mode,
+/// `receiver` outside channel mode.
+ReadStall CheckReadStall(const DeltaMatrixTracker* tracker, const ChannelReceiver* receiver,
+                         ObjectId ob, Cycle cycle);
+
+/// The cause an aborted attempt is charged with. An attempt that stalled on
+/// channel loss spanned extra cycles because of the loss, so the loss
+/// outranks the protocol's cause; a delta-desync stall likewise. Otherwise
+/// the cause is the exact check that fired.
+AbortInfo AttributeAbort(AbortInfo cause, bool loss_stalled, bool desync_stalled);
+
 }  // namespace bcc
 
 #endif  // BCC_CLIENT_RECEIVER_H_

@@ -70,7 +70,9 @@ struct TxnSlot {
   bool is_update = false;
   size_t read_idx = 0;
   uint64_t start_us = 0;
-  bool stalled_this_attempt = false;
+  /// Stalls of the current attempt (they decide its abort attribution).
+  bool loss_stalled = false;
+  bool desync_stalled = false;
 
   // Update-uplink state: an UPDATE is in flight and the slot is parked until
   // the matching UPDATE_REPLY (resent if the reply outwaits reply_wait_cycles).
@@ -515,19 +517,13 @@ Status ClientRuntime::AdvanceSlots(Cycle cycle) {
     }
 
     const ObjectId ob = slot.read_set[slot.read_idx];
-    // Missed-cycle rule, exactly as BroadcastSim::PerformBroadcastRead:
-    // validate only against control info and data received in THIS cycle;
-    // a desynced tracker or a lost column/page stalls the read to the next
-    // cycle rather than substituting stale state.
-    bool stall = tracker_ != nullptr && tracker_->Unusable(cycle);
-    if (!stall) {
-      const bool control_missing =
-          tracker_ == nullptr && !receiver_->ControlUsable(ob, cycle);
-      stall = control_missing || !receiver_->DataUsable(ob, cycle);
-    }
-    if (stall) {
+    // The missed-cycle rule (client/receiver.h): a stalled read waits for the
+    // next cycle rather than validating against stale state.
+    const ReadStall stall = CheckReadStall(tracker_.get(), receiver_.get(), ob, cycle);
+    if (stall != ReadStall::kNone) {
       receiver_->RecordStall();
-      slot.stalled_this_attempt = true;
+      slot.loss_stalled = true;
+      if (stall == ReadStall::kDeltaDesync) slot.desync_stalled = true;
       CounterAdd(m_stalls_);
       continue;
     }
@@ -540,7 +536,8 @@ Status ClientRuntime::AdvanceSlots(Cycle cycle) {
         ev.time = clock_.ElapsedUs();
         ev.cycle = cycle;
         ev.object = ob;
-        ev.abort = slot.protocol.last_abort();
+        ev.abort =
+            AttributeAbort(slot.protocol.last_abort(), slot.loss_stalled, slot.desync_stalled);
         TraceTo(ring_, ev);
       }
       AbortSlot(slot);
@@ -566,7 +563,8 @@ void ClientRuntime::StartNextTxn(TxnSlot& slot) {
   slot.is_update = sim_.client_update_fraction > 0 && workload_->NextIsUpdate();
   slot.write_set = slot.is_update ? workload_->NextWriteSet() : std::vector<ObjectId>{};
   slot.read_idx = 0;
-  slot.stalled_this_attempt = false;
+  slot.loss_stalled = false;
+  slot.desync_stalled = false;
   slot.awaiting_reply = false;
   slot.protocol.Reset();
   slot.start_us = NowMicros();
@@ -591,8 +589,9 @@ void ClientRuntime::CommitSlot(TxnSlot& slot) {
 void ClientRuntime::AbortSlot(TxnSlot& slot) {
   ++aborts_;
   CounterAdd(m_aborts_);
-  if (slot.stalled_this_attempt) receiver_->RecordLossAttributedAbort();
-  slot.stalled_this_attempt = false;
+  if (slot.loss_stalled) receiver_->RecordLossAttributedAbort();
+  slot.loss_stalled = false;
+  slot.desync_stalled = false;
   // Restart the same transaction program from its first read; the response
   // clock keeps running across restarts, as in the DES.
   slot.protocol.Reset();

@@ -372,7 +372,8 @@ Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
       if (record_decisions_) {
         UplinkDecision d;
         d.id = request.id;
-        d.client_index = update->client_index;
+        d.client_index = ci < clients_.size() ? static_cast<uint32_t>(ci)
+                                              : UplinkDecision::kUnregisteredClient;
         d.cycle = current;
         d.accepted = accepted;
         if (!accepted) d.cause = core_->last_reject();

@@ -39,7 +39,12 @@ struct ServerCommitRecord {
 /// order. Accepted uplinks carry their commit-order `seq`; rejected ones
 /// carry the structured conflict that fired.
 struct UplinkDecision {
+  /// client_index of an UPDATE from an address that never sent HELLO.
+  static constexpr uint32_t kUnregisteredClient = UINT32_MAX;
+
   TxnId id = kNoTxn;
+  /// The sender's HELLO-registered slot (never the index the UPDATE
+  /// claims), or kUnregisteredClient.
   uint32_t client_index = 0;
   Cycle cycle = 0;    ///< broadcast cycle the uplink was validated in
   uint64_t seq = 0;   ///< commit-order sequence (accepted only)

@@ -4,6 +4,21 @@
 
 namespace bcc {
 
+SimTime NextReadEnd(const BroadcastSchedule& schedule, SimTime slot_bits, SimTime cycle_start,
+                    ObjectId ob, SimTime at) {
+  assert(at >= cycle_start);
+  const SimTime offset = at - cycle_start;
+  // Smallest slot index s with completion cycle_start + (s+1)*slot_bits >= at.
+  const size_t min_slot = offset <= slot_bits ? 0 : static_cast<size_t>((offset - 1) / slot_bits);
+  int64_t slot = schedule.NextSlotOf(ob, min_slot);
+  if (slot < 0) {
+    // No appearance of `ob` remains this cycle: its first slot of the next.
+    cycle_start += static_cast<SimTime>(schedule.num_slots()) * slot_bits;
+    slot = schedule.SlotsOf(ob).front();
+  }
+  return cycle_start + static_cast<SimTime>(slot + 1) * slot_bits;
+}
+
 BroadcastServer::BroadcastServer(uint32_t num_objects, BroadcastGeometry geometry)
     : num_objects_(num_objects),
       geometry_(geometry),
@@ -71,15 +86,11 @@ SimTime BroadcastServer::ObjectAvailableTime(ObjectId ob) const {
 
 std::optional<SimTime> BroadcastServer::NextSlotEnd(ObjectId ob, SimTime at_or_after) const {
   assert(started_ && ob < num_objects_);
-  assert(at_or_after >= snapshot_.start_time);
-  const SimTime offset = at_or_after - snapshot_.start_time;
-  // Smallest slot index s with completion start + (s+1)*slot_bits >= t.
-  const SimTime slot_bits = geometry_.slot_bits;
-  const size_t min_slot =
-      offset <= slot_bits ? 0 : static_cast<size_t>((offset - 1) / slot_bits);
-  const int64_t slot = schedule_.NextSlotOf(ob, min_slot);
-  if (slot < 0) return std::nullopt;
-  return snapshot_.start_time + static_cast<SimTime>(slot + 1) * slot_bits;
+  const SimTime end =
+      NextReadEnd(schedule_, geometry_.slot_bits, snapshot_.start_time, ob, at_or_after);
+  // Every slot of this cycle ends by CycleEndTime; a next-cycle slot after it.
+  if (end > CycleEndTime()) return std::nullopt;
+  return end;
 }
 
 SimTime BroadcastServer::CycleEndTime() const {

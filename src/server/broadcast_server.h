@@ -50,6 +50,13 @@ struct CycleSnapshot {
   std::optional<DeltaControl> delta;
 };
 
+/// Virtual time at which a read of `ob` requested at `at` completes: the end
+/// of `ob`'s first slot finishing at or after `at` in the cycle that began at
+/// `cycle_start`, or of its first slot in the next cycle when none remains.
+/// The one slot-timing rule of every client engine.
+SimTime NextReadEnd(const BroadcastSchedule& schedule, SimTime slot_bits, SimTime cycle_start,
+                    ObjectId ob, SimTime at);
+
 /// Broadcast scheduling and per-cycle snapshotting.
 class BroadcastServer {
  public:
@@ -114,7 +121,8 @@ class BroadcastServer {
 
   /// Completion time of the earliest slot of `ob` in the current cycle
   /// finishing at or after `at_or_after`; nullopt when no appearance of
-  /// `ob` remains this cycle (wait for the next one).
+  /// `ob` remains this cycle (wait for the next one). Forwards to
+  /// NextReadEnd.
   std::optional<SimTime> NextSlotEnd(ObjectId ob, SimTime at_or_after) const;
 
   /// End of the current cycle == start of the next.

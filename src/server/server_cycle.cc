@@ -127,10 +127,35 @@ void ServerCycle::Publish(const std::vector<CommittedServerTxn>& committed, Cycl
   for (const CommittedServerTxn& c : committed) commit_observer_(c.txn.id);
 }
 
+void ServerCycle::BeginCycle(Cycle cycle, SimTime start) {
+  server_->BeginCycle(cycle, start, *manager_);
+  if (trace_ == nullptr) return;
+  TraceEvent slice;
+  slice.type = TraceEventType::kCycleStart;
+  slice.time = start;
+  slice.duration = cycle_bits_;
+  slice.cycle = cycle;
+  trace_->Record(slice);
+  TraceEvent tx;
+  tx.type = TraceEventType::kBroadcastTx;
+  tx.time = start;
+  tx.cycle = cycle;
+  tx.value = server_->num_objects();
+  trace_->Record(tx);
+}
+
 ServerTxn ServerCycle::CommitNext(Cycle cycle) {
   ServerTxn txn = workload_->NextTxn();
   Commit(txn, cycle);
   const SimTime prev = next_commit_time_;
+  if (trace_ != nullptr) {
+    TraceEvent e;
+    e.type = TraceEventType::kCommit;
+    e.time = prev;
+    e.cycle = cycle;
+    e.value = txn.id;
+    trace_->Record(e);
+  }
   next_commit_time_ = prev + workload_->NextInterval();
   next_commit_pre_flip_ =
       FiresBeforeFlip(next_commit_time_, prev, next_commit_pre_flip_, cycle_bits_);

@@ -18,6 +18,7 @@
 
 #include "common/rng.h"
 #include "common/statusor.h"
+#include "obs/trace.h"
 #include "server/broadcast_server.h"
 #include "server/exec/txn_processor.h"
 #include "server/mc_overlay.h"
@@ -65,7 +66,13 @@ class ServerCycle {
   bool uplink() const { return validator_ != nullptr; }
 
   /// Snapshots the manager as broadcast cycle `cycle`, starting at `start`.
-  void BeginCycle(Cycle cycle, SimTime start) { server_->BeginCycle(cycle, start, *manager_); }
+  void BeginCycle(Cycle cycle, SimTime start);
+
+  /// The server trace ring (not owned; null = tracing off). BeginCycle then
+  /// records the cycle slice and broadcast instant, and CommitNext each
+  /// commit, in virtual time. The daemon, which traces in wall time, leaves
+  /// it unset.
+  void set_trace_ring(TraceRing* ring) { trace_ = ring; }
 
   /// Commits `txn` during broadcast cycle `cycle`. Sequential mode executes
   /// it now; pooled mode stages its MC effect (when the overlay is armed) and
@@ -127,6 +134,7 @@ class ServerCycle {
   std::unique_ptr<McOverlay> overlay_;
   std::vector<ServerTxn> pending_uplink_txns_;
   std::function<void(TxnId)> commit_observer_;
+  TraceRing* trace_ = nullptr;
 
   SimTime cycle_bits_ = 0;
   SimTime next_commit_time_ = 0;

@@ -9,49 +9,8 @@
 
 namespace bcc {
 
-BroadcastSim::Client::Client(const SimConfig& config, Rng rng,
-                             std::optional<CycleStampCodec> codec)
-    : workload(config, rng), protocol(config.algorithm, codec) {
-  // The per-read O(n) column capture exists only to validate stale cached
-  // reads; without a cache it is pure overhead (and the dominant read cost
-  // at n = 10^6).
-  protocol.set_capture_columns(config.enable_cache);
-  if (config.enable_cache) {
-    cache = std::make_unique<QuasiCache>(config.cache_capacity, config.cache_currency_bound);
-  }
-  if (config.delta_broadcast) {
-    // In sparse direct mode the tracker reconstructs a SparseFMatrix
-    // (refreshes adopt the snapshot's shared columns); channel-mode trackers
-    // stay dense — they rebuild from on-air bytes, which are byte-identical
-    // regardless of the server's representation.
-    const bool sparse_tracker =
-        config.matrix_mode == MatrixMode::kSparse && !config.channel_broadcast;
-    tracker = std::make_unique<DeltaMatrixTracker>(
-        config.num_objects, CycleStampCodec(config.timestamp_bits), sparse_tracker);
-    // All F-family validation reads the locally reconstructed matrix from
-    // here on; the sim stalls reads while the tracker is unusable.
-    if (sparse_tracker) {
-      protocol.set_sparse_control_override(&tracker->sparse_matrix());
-    } else {
-      protocol.set_control_override(&tracker->matrix());
-    }
-  }
-  if (config.channel_broadcast) {
-    receiver = std::make_unique<ChannelReceiver>(
-        config.num_objects,
-        FrameCodec(CycleStampCodec(config.timestamp_bits), config.channel_frame_bits),
-        tracker.get());
-    // Data pages now come off the reassembled frames; the sim stalls reads
-    // whose page (or, in full mode, control column) was lost this cycle.
-    protocol.set_value_override(&receiver->values());
-    if (!tracker) protocol.set_control_override(&receiver->matrix());
-  }
-}
-
 BroadcastSim::BroadcastSim(SimConfig config)
-    : config_(std::move(config)),
-      geometry_(config_.Geometry()),
-      metrics_(config_.warmup_txns) {}
+    : config_(std::move(config)), metrics_(config_.warmup_txns) {}
 
 BroadcastSim::~BroadcastSim() = default;
 
@@ -69,19 +28,16 @@ StatusOr<SimSummary> BroadcastSim::Run() {
 
   clients_.clear();
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
-    clients_.push_back(std::make_unique<Client>(config_, root.Split(), codec));
+    clients_.push_back(std::make_unique<ClientTxn>(config_, core_->server().schedule(),
+                                                   root.Split(), codec));
   }
-  if (config_.record_decisions) decisions_.resize(config_.num_clients);
 
   if (tracer_ != nullptr) {
     // One single-writer ring per simulated actor; registered before any
     // event fires, never resized afterwards.
-    server_trace_ = tracer_->AddTrack("server");
+    core_->set_trace_ring(tracer_->AddTrack("server"));
     for (size_t c = 0; c < clients_.size(); ++c) {
-      Client& client = *clients_[c];
-      client.trace = tracer_->AddTrack(StrFormat("client%zu", c));
-      if (client.receiver) client.receiver->set_trace_ring(client.trace);
-      if (client.tracker) client.tracker->set_trace_ring(client.trace);
+      clients_[c]->set_trace_ring(tracer_->AddTrack(StrFormat("client%zu", c)));
     }
   }
 
@@ -98,14 +54,13 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   // Prime the loop: cycle 1 begins at t = 0; the first server transaction
   // and each client's first submission follow their think times.
   core_->BeginCycle(1, 0);
-  TraceCycleStart();
   if (config_.delta_broadcast) AttachAndObserveDelta();
   if (channel_) TransmitCycle();
   queue_.ScheduleAt(core_->server().CycleEndTime(), [this] { StartNextCycle(); });
   queue_.ScheduleAt(core_->next_commit_time(), [this] { ServerCommitEvent(); });
   for (size_t c = 0; c < clients_.size(); ++c) {
-    queue_.ScheduleAfter(clients_[c]->workload.NextInterTxnDelay(),
-                         [this, c] { SubmitClientTxn(c); });
+    clients_[c]->Start();
+    ScheduleClient(c);
   }
 
   while (!done_ && queue_.Step()) {
@@ -113,8 +68,10 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   // Commits staged during the final (partial) cycle still belong to it.
   core_->Fold(core_->server().snapshot().cycle);
 
-  for (const auto& client : clients_) {
-    if (client->receiver) metrics_.AccumulateChannel(client->receiver->stats());
+  for (auto& client : clients_) {
+    metrics_.AccumulateClient(client->tally());
+    if (client->receiver()) metrics_.AccumulateChannel(client->receiver()->stats());
+    if (config_.record_decisions) decisions_.push_back(std::move(client->tally().decisions));
   }
   SimSummary summary = metrics_.Summarize(core_->server().snapshot().cycle, queue_.now(),
                                           TotalCacheHits(), TotalCacheMisses());
@@ -127,7 +84,7 @@ StatusOr<SimSummary> BroadcastSim::Run() {
 uint64_t BroadcastSim::TotalCacheHits() const {
   uint64_t total = 0;
   for (const auto& c : clients_) {
-    if (c->cache) total += c->cache->hits();
+    if (c->cache()) total += c->cache()->hits();
   }
   return total;
 }
@@ -135,7 +92,7 @@ uint64_t BroadcastSim::TotalCacheHits() const {
 uint64_t BroadcastSim::TotalCacheMisses() const {
   uint64_t total = 0;
   for (const auto& c : clients_) {
-    if (c->cache) total += c->cache->misses();
+    if (c->cache()) total += c->cache()->misses();
   }
   return total;
 }
@@ -165,28 +122,9 @@ void BroadcastSim::StartNextCycle() {
     return;
   }
   core_->BeginCycle(next, core_->server().CycleEndTime());
-  TraceCycleStart();
   if (config_.delta_broadcast) AttachAndObserveDelta();
   if (channel_) TransmitCycle();
   queue_.ScheduleAt(core_->server().CycleEndTime(), [this] { StartNextCycle(); });
-}
-
-void BroadcastSim::TraceCycleStart() {
-  if (server_trace_ == nullptr) return;
-  const CycleSnapshot& snap = core_->server().snapshot();
-  const SimTime length = core_->server().CycleLengthBits();
-  TraceEvent cycle;
-  cycle.type = TraceEventType::kCycleStart;
-  cycle.time = core_->server().CycleEndTime() - length;
-  cycle.duration = length;
-  cycle.cycle = snap.cycle;
-  server_trace_->Record(cycle);
-  TraceEvent tx;
-  tx.type = TraceEventType::kBroadcastTx;
-  tx.time = cycle.time;
-  tx.cycle = snap.cycle;
-  tx.value = config_.num_objects;
-  server_trace_->Record(tx);
 }
 
 void BroadcastSim::AttachAndObserveDelta() {
@@ -199,14 +137,15 @@ void BroadcastSim::AttachAndObserveDelta() {
   // frames (TransmitCycle), not from the in-process control block.
   if (config_.channel_broadcast) return;
   for (auto& client : clients_) {
+    DeltaMatrixTracker& tracker = *client->tracker();
     if (snap.sparse_f_matrix != nullptr) {
-      client->tracker->Observe(ctl, *snap.sparse_f_matrix);
+      tracker.Observe(ctl, *snap.sparse_f_matrix);
     } else {
-      client->tracker->Observe(ctl, snap.f_matrix);
+      tracker.Observe(ctl, snap.f_matrix);
     }
     // Test knob: model a client that missed this cycle's control block.
     if (config_.delta_desync_at_cycle != 0 && snap.cycle == config_.delta_desync_at_cycle) {
-      client->tracker->ForceDesync();
+      tracker.ForceDesync();
     }
   }
 }
@@ -215,297 +154,55 @@ void BroadcastSim::TransmitCycle() {
   const CycleSnapshot& snap = core_->server().snapshot();
   EncodeCycleFramesInto(snap, *frame_codec_, config_.object_size_bits, frame_scratch_);
   for (size_t c = 0; c < clients_.size(); ++c) {
-    Client& client = *clients_[c];
+    ClientTxn& client = *clients_[c];
     const Transmission tx = channel_->Transmit(static_cast<uint32_t>(c), frame_scratch_);
-    client.receiver->IngestCycle(snap.cycle, tx, queue_.now());
+    client.receiver()->IngestCycle(snap.cycle, tx, queue_.now());
     // The desync knob still works in channel mode (on top of real loss).
-    if (client.tracker && config_.delta_desync_at_cycle != 0 &&
+    if (client.tracker() && config_.delta_desync_at_cycle != 0 &&
         snap.cycle == config_.delta_desync_at_cycle) {
-      client.tracker->ForceDesync();
+      client.tracker()->ForceDesync();
     }
   }
 }
 
 void BroadcastSim::ServerCommitEvent() {
   if (done_) return;
-  const ServerTxn txn = core_->CommitNext(core_->server().snapshot().cycle);
+  core_->CommitNext(core_->server().snapshot().cycle);
   metrics_.RecordServerCommit();
-  if (server_trace_ != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kCommit;
-    e.time = queue_.now();
-    e.cycle = core_->server().snapshot().cycle;
-    e.value = txn.id;
-    server_trace_->Record(e);
-  }
   queue_.ScheduleAt(core_->next_commit_time(), [this] { ServerCommitEvent(); });
 }
 
-void BroadcastSim::SubmitClientTxn(size_t c) {
-  if (done_) return;
-  Client& client = *clients_[c];
-  client.submit_time = queue_.now();
-  client.read_set = client.workload.NextReadSet();
-  client.is_update = core_->uplink() && client.workload.NextIsUpdate();
-  client.write_set =
-      client.is_update ? client.workload.NextWriteSet() : std::vector<ObjectId>{};
-  client.read_idx = 0;
-  client.restarts = 0;
-  client.stalled_this_attempt = false;
-  client.delta_stalled_this_attempt = false;
-  client.protocol.Reset();
-  queue_.ScheduleAfter(client.workload.NextInterOpDelay(), [this, c] { BeginReadOp(c); });
+void BroadcastSim::ScheduleClient(size_t c) {
+  queue_.ScheduleAt(clients_[c]->next().time, [this, c] { StepClient(c); });
 }
 
-void BroadcastSim::BeginReadOp(size_t c) {
-  if (done_) return;
-  Client& client = *clients_[c];
-  const ObjectId ob = client.read_set[client.read_idx];
-
-  if (client.cache) {
-    if (std::optional<CacheEntry> entry = client.cache->Lookup(ob, queue_.now())) {
-      auto value = client.protocol.ReadFromCache(*entry, ob, core_->server().snapshot());
-      if (value.ok()) {
-        if (client.trace != nullptr) {
-          TraceEvent e;
-          e.type = TraceEventType::kRead;
-          e.time = queue_.now();
-          e.cycle = core_->server().snapshot().cycle;
-          e.object = ob;
-          e.value = value->value;
-          client.trace->Record(e);
-        }
-        OnReadSuccess(c);
-        return;
-      }
-      // Failed cache validation: fall back to a fresh broadcast read.
-    }
-  }
-
-  if (const std::optional<SimTime> slot = core_->server().NextSlotEnd(ob, queue_.now())) {
-    queue_.ScheduleAt(*slot, [this, c] { PerformBroadcastRead(c); });
-  } else {
-    // No appearance of `ob` remains this cycle; catch its first slot in the
-    // next cycle (whose start event is already scheduled and fires strictly
-    // earlier than any slot completion).
-    const uint32_t first_slot = core_->server().schedule().SlotsOf(ob).front();
-    queue_.ScheduleAt(
-        core_->server().CycleEndTime() + static_cast<SimTime>(first_slot + 1) * geometry_.slot_bits,
-        [this, c] { PerformBroadcastRead(c); });
-  }
-}
-
-void BroadcastSim::PerformBroadcastRead(size_t c) {
-  if (done_) return;
-  Client& client = *clients_[c];
-  const ObjectId ob = client.read_set[client.read_idx];
+void BroadcastSim::StepClient(size_t c) {
+  ClientTxn& client = *clients_[c];
   const CycleSnapshot& snap = core_->server().snapshot();
-  bool stall = false;
-  bool delta_stall = false;
-  if (client.tracker && client.tracker->Unusable(snap.cycle)) {
-    // The reconstructed matrix cannot validate a read in this cycle (tracker
-    // desynced, stale after a lost control block, or past the TS decode
-    // window): stall until the next cycle, whose block may be the
-    // resynchronizing full refresh.
-    metrics_.RecordDeltaStall();
-    stall = true;
-    delta_stall = true;
-  }
-  if (!stall && client.receiver) {
-    // Missed-cycle rule: validate only against control info and data
-    // received in THIS cycle. A stale column could carry lower stamps than
-    // the current matrix and falsely accept a read, so loss means stalling,
-    // never substituting older control info.
-    const bool control_missing =
-        client.tracker == nullptr && !client.receiver->ControlUsable(ob, snap.cycle);
-    stall = control_missing || !client.receiver->DataUsable(ob, snap.cycle);
-  }
-  if (stall) {
-    if (client.trace != nullptr) {
-      TraceEvent e;
-      e.type = TraceEventType::kStall;
-      e.time = queue_.now();
-      e.cycle = snap.cycle;
-      e.object = ob;
-      e.value = delta_stall ? kStallDeltaDesync : kStallChannelLoss;
-      client.trace->Record(e);
+  const ClientEvent& next =
+      client.Step(snap, [&](ClientUpdateRequest& request, AbortInfo& reject) {
+        request.id = next_client_update_id_++;
+        if (core_->ValidateUplink(request, snap.cycle)) return true;
+        reject = core_->last_reject();
+        return false;
+      });
+  if (next.step == ClientStep::kSubmit) {
+    // Completed. Committed client UPDATE transactions already live in the
+    // server's recorded history (via the validator); only read-only
+    // transactions need a client-side oracle log.
+    if (config_.record_history && !client.censored() && !client.is_update()) {
+      oracle_client_txns_.push_back(
+          ClientTxnLog{kClientTxnIdBase + static_cast<TxnId>(oracle_client_txns_.size()),
+                       client.reads(), client.values()});
     }
-    // The cycle-start event was inserted earlier, so it fires before this
-    // retry at the object's first slot of the next cycle.
-    if (client.receiver) {
-      client.receiver->RecordStall();
-      client.stalled_this_attempt = true;
+    metrics_.RecordClientTxn(client.submit_time(), queue_.now(), client.restarts(),
+                             client.censored());
+    if (++completed_txns_ >= config_.num_client_txns) {
+      done_ = true;
+      return;
     }
-    if (delta_stall) client.delta_stalled_this_attempt = true;
-    const uint32_t first_slot = core_->server().schedule().SlotsOf(ob).front();
-    queue_.ScheduleAt(
-        core_->server().CycleEndTime() + static_cast<SimTime>(first_slot + 1) * geometry_.slot_bits,
-        [this, c] { PerformBroadcastRead(c); });
-    return;
   }
-  auto value = client.protocol.Read(snap, ob);
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kValidation;
-    e.time = queue_.now();
-    e.cycle = snap.cycle;
-    e.object = ob;
-    e.value = value.ok() ? 1 : 0;
-    client.trace->Record(e);
-  }
-  if (!value.ok()) {
-    OnReadAbort(c);
-    return;
-  }
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kRead;
-    e.time = queue_.now();
-    e.cycle = snap.cycle;
-    e.object = ob;
-    e.value = value->value;
-    client.trace->Record(e);
-  }
-  if (client.cache) {
-    CacheEntry entry;
-    entry.version = *value;
-    entry.cycle = snap.cycle;
-    entry.cached_time = queue_.now();
-    if (snap.f_matrix.num_objects() > 0) {
-      const std::span<const Cycle> col = snap.f_matrix.Column(ob);
-      entry.column.assign(col.begin(), col.end());
-    }
-    if (snap.mc_vector.num_objects() > 0) entry.mc_entry = snap.mc_vector.At(ob);
-    client.cache->Insert(ob, std::move(entry));
-  }
-  OnReadSuccess(c);
-}
-
-void BroadcastSim::OnReadSuccess(size_t c) {
-  Client& client = *clients_[c];
-  ++client.read_idx;
-  if (client.read_idx == client.read_set.size()) {
-    if (client.is_update) {
-      // Ship the read records and write set to the server over the uplink
-      // ("a list of all the objects written ... and the list of all read
-      // operations performed and the cycle numbers" — Section 3.2.1).
-      queue_.ScheduleAfter(config_.uplink_delay, [this, c] { SendUplinkCommit(c); });
-    } else {
-      CompleteTxn(c, /*censored=*/false);  // read-only commit is local, free
-    }
-    return;
-  }
-  queue_.ScheduleAfter(client.workload.NextInterOpDelay(), [this, c] { BeginReadOp(c); });
-}
-
-void BroadcastSim::OnReadAbort(size_t c) {
-  Client& client = *clients_[c];
-  // Attribution precedence: an attempt that stalled on channel loss before
-  // failing validation spanned extra cycles precisely because of the loss,
-  // so the loss outranks the raw protocol cause; a delta-desync stall
-  // likewise. Otherwise the cause is the exact check that fired.
-  AbortInfo info = client.protocol.last_abort();
-  if (client.receiver && client.stalled_this_attempt) {
-    info.cause = AbortCause::kChannelLoss;
-  } else if (client.delta_stalled_this_attempt) {
-    info.cause = AbortCause::kDesyncStall;
-  }
-  OnAbort(c, info);
-}
-
-void BroadcastSim::OnAbort(size_t c, AbortInfo info) {
-  Client& client = *clients_[c];
-  metrics_.RecordAbort(info.cause);
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kAbort;
-    e.time = queue_.now();
-    e.cycle = core_->server().snapshot().cycle;
-    e.object = info.ob_j;
-    e.abort = info;
-    client.trace->Record(e);
-  }
-  if (client.receiver && client.stalled_this_attempt) {
-    // The attempt both stalled on loss and then failed validation: the extra
-    // cycles it was forced to span raise the abort odds, so attribute it.
-    client.receiver->RecordLossAttributedAbort();
-  }
-  client.stalled_this_attempt = false;
-  client.delta_stalled_this_attempt = false;
-  ++client.restarts;
-  if (client.restarts >= config_.max_restarts_per_txn) {
-    CompleteTxn(c, /*censored=*/true);
-    return;
-  }
-  client.protocol.Reset();
-  client.read_idx = 0;
-  queue_.ScheduleAfter(config_.restart_delay + client.workload.NextInterOpDelay(),
-                       [this, c] { BeginReadOp(c); });
-}
-
-void BroadcastSim::SendUplinkCommit(size_t c) {
-  if (done_) return;
-  Client& client = *clients_[c];
-  ClientUpdateRequest request;
-  request.id = next_client_update_id_++;
-  request.reads = client.protocol.reads();
-  request.writes = client.write_set;
-  const bool accepted = core_->ValidateUplink(request, core_->server().snapshot().cycle);
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kValidation;
-    e.time = queue_.now();
-    e.cycle = core_->server().snapshot().cycle;
-    e.value = accepted ? 1 : 0;
-    client.trace->Record(e);
-  }
-  // The client learns the outcome one uplink delay later.
-  if (accepted) {
-    metrics_.RecordServerCommit();  // it is also a committed update txn
-    metrics_.RecordClientUpdateCommit();
-    queue_.ScheduleAfter(config_.uplink_delay, [this, c] { CompleteTxn(c, false); });
-  } else {
-    metrics_.RecordClientUpdateReject();
-    // Capture the validator's structured cause now — by the time the abort
-    // fires, another client's rejection may have overwritten last_reject().
-    const AbortInfo reject = core_->last_reject();
-    queue_.ScheduleAfter(config_.uplink_delay, [this, c, reject] { OnAbort(c, reject); });
-  }
-}
-
-void BroadcastSim::CompleteTxn(size_t c, bool censored) {
-  Client& client = *clients_[c];
-  // Committed client UPDATE transactions already live in the server's
-  // recorded history (via the validator); only read-only transactions need
-  // a client-side oracle log.
-  if (config_.record_history && !censored && !client.is_update) {
-    oracle_client_txns_.push_back(ClientTxnLog{
-        kClientTxnIdBase + static_cast<TxnId>(oracle_client_txns_.size()),
-        client.protocol.reads(), client.protocol.values()});
-  }
-  if (config_.record_decisions) {
-    decisions_[c].push_back(TxnDecision{client.protocol.reads(), client.restarts, censored});
-  }
-  // Censoring is counted in ADDITION to the final attempt's abort cause
-  // (recorded by OnAbort), so breakdown[kCensored] == censored_txns.
-  if (censored) metrics_.RecordAbort(AbortCause::kCensored);
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = censored ? TraceEventType::kAbort : TraceEventType::kCommit;
-    e.time = queue_.now();
-    e.cycle = core_->server().snapshot().cycle;
-    e.value = client.protocol.reads().size();
-    if (censored) e.abort.cause = AbortCause::kCensored;
-    client.trace->Record(e);
-  }
-  metrics_.RecordClientTxn(client.submit_time, queue_.now(), client.restarts, censored);
-  ++completed_txns_;
-  if (completed_txns_ >= config_.num_client_txns) {
-    done_ = true;
-    return;
-  }
-  client.protocol.Reset();
-  queue_.ScheduleAfter(client.workload.NextInterTxnDelay(), [this, c] { SubmitClientTxn(c); });
+  ScheduleClient(c);
 }
 
 StatusOr<History> BroadcastSim::BuildOracleHistory() const {
@@ -633,7 +330,7 @@ Status BroadcastSim::VerifyDeltaTrackers() const {
                                                  : truth.At(i, j);
   };
   for (size_t c = 0; c < clients_.size(); ++c) {
-    const DeltaMatrixTracker& tracker = *clients_[c]->tracker;
+    const DeltaMatrixTracker& tracker = *clients_[c]->tracker();
     if (!tracker.synced()) continue;  // desync knob, or real loss in channel mode
     if (tracker.last_sync() != cycle) {
       // Channel mode: a lost final control block legitimately leaves the
@@ -678,8 +375,9 @@ bool ServerMatricesEqual(const ServerTxnManager& a, const ServerTxnManager& b) {
   return a.f_matrix() == b.f_matrix();
 }
 
-/// Field-by-field equality of every non-channel summary field (doubles are
-/// compared bit-exactly: identical event sequences must produce identical
+/// Field-by-field equality of every non-channel summary field except the
+/// abort breakdown, which CompareRuns checks (doubles are compared
+/// bit-exactly: identical event sequences must produce identical
 /// arithmetic).
 Status CompareSummaries(const SimSummary& a, const SimSummary& b, const char* label_a,
                         const char* label_b) {
@@ -707,52 +405,60 @@ Status CompareSummaries(const SimSummary& a, const SimSummary& b, const char* la
       check("delta_refresh_cycles", a.delta_refresh_cycles, b.delta_refresh_cycles));
   BCC_RETURN_IF_ERROR(check("delta_control_bits", a.delta_control_bits, b.delta_control_bits));
   BCC_RETURN_IF_ERROR(check("full_control_bits", a.full_control_bits, b.full_control_bits));
-  BCC_RETURN_IF_ERROR(check("delta_stall_waits", a.delta_stall_waits, b.delta_stall_waits));
-  if (!(a.abort_causes == b.abort_causes)) {
-    return Status::Internal(StrFormat("abort breakdowns diverge: %s=(%s) %s=(%s)", label_a,
-                                      a.abort_causes.ToString().c_str(), label_b,
-                                      b.abort_causes.ToString().c_str()));
-  }
-  return Status::OK();
+  return check("delta_stall_waits", a.delta_stall_waits, b.delta_stall_waits);
 }
 
-/// The server-state and decision half of every DES differential check:
-/// identical stores, value-equal control matrices, and identical per-client
-/// decision logs.
-Status CompareRuns(const BroadcastSim& a, const BroadcastSim& b, const char* label_a,
-                   const char* label_b) {
-  if (!ServerMatricesEqual(a.manager(), b.manager())) {
+}  // namespace
+
+Status CompareRuns(const RunRecord& a, const RunRecord& b) {
+  if (!ServerMatricesEqual(a.manager, b.manager)) {
     return Status::Internal(StrFormat("server control matrices diverge between %s and %s runs",
-                                      label_a, label_b));
+                                      a.label, b.label));
   }
-  if (!(a.manager().store().committed() == b.manager().store().committed())) {
+  if (!(a.manager.mc_vector() == b.manager.mc_vector())) {
     return Status::Internal(
-        StrFormat("server stores diverge between %s and %s runs", label_a, label_b));
+        StrFormat("server MC vectors diverge between %s and %s runs", a.label, b.label));
   }
-  if (a.decisions().size() != b.decisions().size()) {
+  if (!(a.manager.store().committed() == b.manager.store().committed())) {
     return Status::Internal(
-        StrFormat("client counts diverge between %s and %s runs", label_a, label_b));
+        StrFormat("server stores diverge between %s and %s runs", a.label, b.label));
   }
-  for (size_t c = 0; c < a.decisions().size(); ++c) {
-    const auto& da = a.decisions()[c];
-    const auto& db = b.decisions()[c];
+  if (a.manager.num_committed() != b.manager.num_committed()) {
+    return Status::Internal(StrFormat("server commit counts diverge: %s=%zu %s=%zu", a.label,
+                                      a.manager.num_committed(), b.label,
+                                      b.manager.num_committed()));
+  }
+  // Both runs classify every abort at the same failing check, and neither
+  // filters by warmup, so the breakdowns are bit-identical, not just close.
+  if (!(a.abort_causes == b.abort_causes)) {
+    return Status::Internal(StrFormat("abort breakdowns diverge: %s=(%s) %s=(%s)", a.label,
+                                      a.abort_causes.ToString().c_str(), b.label,
+                                      b.abort_causes.ToString().c_str()));
+  }
+  if (a.decisions.size() != b.decisions.size()) {
+    return Status::Internal(
+        StrFormat("client counts diverge between %s and %s runs", a.label, b.label));
+  }
+  for (size_t c = 0; c < a.decisions.size(); ++c) {
+    const auto& da = a.decisions[c];
+    const auto& db = b.decisions[c];
     if (da.size() != db.size()) {
       return Status::Internal(StrFormat("client %zu completed %zu txns %s vs %zu %s", c,
-                                        da.size(), label_a, db.size(), label_b));
+                                        da.size(), a.label, db.size(), b.label));
     }
     for (size_t k = 0; k < da.size(); ++k) {
       if (!(da[k] == db[k])) {
-        return Status::Internal(StrFormat("client %zu txn %zu decisions diverge between %s and %s",
-                                          c, k, label_a, label_b));
+        return Status::Internal(StrFormat(
+            "client %zu txn %zu decisions diverge between %s and %s: restarts %u/%u, "
+            "censored %d/%d, reads %zu/%zu",
+            c, k, a.label, b.label, da[k].restarts, db[k].restarts, da[k].censored ? 1 : 0,
+            db[k].censored ? 1 : 0, da[k].reads.size(), db[k].reads.size()));
       }
     }
   }
   return Status::OK();
 }
 
-/// Forces the timing-independent cutoff every differential check relies on:
-/// the cycle cutoff is the only stop condition, so both runs see the same
-/// prefix of every client's transaction stream.
 Status PrepareCrossCheck(SimConfig& config, const char* name) {
   if (config.stop_after_cycles == 0) {
     return Status::InvalidArgument(StrFormat("%s requires stop_after_cycles > 0", name));
@@ -761,8 +467,6 @@ Status PrepareCrossCheck(SimConfig& config, const char* name) {
   config.num_client_txns = std::numeric_limits<uint32_t>::max();
   return Status::OK();
 }
-
-}  // namespace
 
 Status CrossCheckDeltaBroadcast(SimConfig config) {
   BCC_RETURN_IF_ERROR(PrepareCrossCheck(config, "CrossCheckDeltaBroadcast"));
@@ -791,12 +495,8 @@ Status CrossCheckDeltaBroadcast(SimConfig config) {
         static_cast<unsigned long long>(full_summary.server_commits),
         static_cast<unsigned long long>(delta_summary.server_commits)));
   }
-  if (!(full_summary.abort_causes == delta_summary.abort_causes)) {
-    return Status::Internal(StrFormat("abort breakdowns diverge: full=(%s) delta=(%s)",
-                                      full_summary.abort_causes.ToString().c_str(),
-                                      delta_summary.abort_causes.ToString().c_str()));
-  }
-  return CompareRuns(full_sim, delta_sim, "full", "delta");
+  return CompareRuns({"full", full_sim.manager(), full_sim.decisions(), full_summary.abort_causes},
+                     {"delta", delta_sim.manager(), delta_sim.decisions(), delta_summary.abort_causes});
 }
 
 Status CrossCheckLossless(SimConfig config) {
@@ -829,7 +529,8 @@ Status CrossCheckLossless(SimConfig config) {
   // ...and reproduce the direct path bit-exactly: summary, server state, and
   // every client's decision log.
   BCC_RETURN_IF_ERROR(CompareSummaries(direct_summary, channel_summary, "direct", "channel"));
-  return CompareRuns(direct_sim, channel_sim, "direct", "channel");
+  return CompareRuns({"direct", direct_sim.manager(), direct_sim.decisions(), direct_summary.abort_causes},
+                     {"channel", channel_sim.manager(), channel_sim.decisions(), channel_summary.abort_causes});
 }
 
 Status CrossCheckSparseMode(SimConfig config) {
@@ -858,7 +559,8 @@ Status CrossCheckSparseMode(SimConfig config) {
   // differ between representations.
   BCC_RETURN_IF_ERROR(CompareSummaries(dense_summary, sparse_summary, "dense", "sparse"));
   if (sparse.delta_broadcast) BCC_RETURN_IF_ERROR(sparse_sim.VerifyDeltaTrackers());
-  return CompareRuns(dense_sim, sparse_sim, "dense", "sparse");
+  return CompareRuns({"dense", dense_sim.manager(), dense_sim.decisions(), dense_summary.abort_causes},
+                     {"sparse", sparse_sim.manager(), sparse_sim.decisions(), sparse_summary.abort_causes});
 }
 
 }  // namespace bcc

@@ -22,26 +22,17 @@
 #include <vector>
 
 #include "channel/lossy_channel.h"
-#include "client/cache.h"
-#include "client/delta_tracker.h"
-#include "client/read_txn.h"
-#include "client/receiver.h"
 #include "common/statusor.h"
 #include "des/event_queue.h"
 #include "history/history.h"
 #include "matrix/group_matrix.h"
 #include "obs/trace.h"
 #include "server/server_cycle.h"
+#include "sim/client_txn.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
-#include "sim/workload.h"
 
 namespace bcc {
-
-/// First TxnId used for client read-only transactions in recorded oracle
-/// histories (server transactions count up from 1); client update
-/// transactions use ids from 2 * kClientTxnIdBase.
-inline constexpr TxnId kClientTxnIdBase = 1u << 20;
 
 /// One simulation run. Construct, Run() once, then inspect.
 class BroadcastSim {
@@ -87,7 +78,7 @@ class BroadcastSim {
 
   /// One client's channel/receiver counters (requires channel_broadcast).
   const ChannelStats& ClientChannelStats(size_t c) const {
-    return clients_[c]->receiver->stats();
+    return clients_[c]->receiver()->stats();
   }
 
   /// The final broadcast cycle's snapshot (valid after Run). The networked
@@ -108,37 +99,6 @@ class BroadcastSim {
     std::vector<ObjectVersion> values;
   };
 
-  /// Per-client protocol state machine.
-  struct Client {
-    Client(const SimConfig& config, Rng rng, std::optional<CycleStampCodec> codec);
-
-    ClientWorkload workload;
-    ReadOnlyTxnProtocol protocol;
-    std::unique_ptr<QuasiCache> cache;
-    /// Delta-broadcast reconstruction state (delta_broadcast mode only); the
-    /// protocol's control override points into it.
-    std::unique_ptr<DeltaMatrixTracker> tracker;
-    /// Channel-mode frame reassembly (channel_broadcast only). Feeds the
-    /// tracker in delta mode; its matrix/values back the protocol's control
-    /// and value overrides otherwise.
-    std::unique_ptr<ChannelReceiver> receiver;
-
-    std::vector<ObjectId> read_set;
-    std::vector<ObjectId> write_set;
-    size_t read_idx = 0;
-    SimTime submit_time = 0;
-    uint32_t restarts = 0;
-    bool is_update = false;
-    /// Channel mode: did the current transaction attempt stall on loss? An
-    /// abort of such an attempt is counted as loss-attributed.
-    bool stalled_this_attempt = false;
-    /// Delta mode: did the current attempt stall on a desynced tracker? An
-    /// abort of such an attempt is attributed to kDesyncStall.
-    bool delta_stalled_this_attempt = false;
-    /// This client's trace ring (null when tracing is off).
-    TraceRing* trace = nullptr;
-  };
-
   // Delta-mode per-cycle plumbing: drains the dirty columns into this
   // cycle's DeltaControl and feeds it to every client's tracker (directly,
   // or through the receivers in channel mode).
@@ -156,26 +116,17 @@ class BroadcastSim {
   // Event handlers (`c` = client index).
   void StartNextCycle();
   void ServerCommitEvent();
-  void SubmitClientTxn(size_t c);
-  void BeginReadOp(size_t c);          // after think time: cache or broadcast
-  void PerformBroadcastRead(size_t c);
-  void OnReadSuccess(size_t c);
-  void OnReadAbort(size_t c);
-  /// Shared abort path: records the attributed cause, traces it, and either
-  /// restarts the transaction or censors it.
-  void OnAbort(size_t c, AbortInfo info);
-  void SendUplinkCommit(size_t c);     // client update txn: ship reads+writes
-  void CompleteTxn(size_t c, bool censored);
-  /// Emits the cycle-start slice (and broadcast-tx instant) for the cycle
-  /// just begun on the server track; no-op when tracing is off.
-  void TraceCycleStart();
+  /// Puts client `c`'s next event on the queue.
+  void ScheduleClient(size_t c);
+  /// Runs client `c`'s pending event; on a completion, records it in global
+  /// completion order (metrics, oracle log) and checks the stop condition.
+  void StepClient(size_t c);
 
   SimConfig config_;
-  BroadcastGeometry geometry_;
   EventQueue queue_;
 
   std::unique_ptr<ServerCycle> core_;
-  std::vector<std::unique_ptr<Client>> clients_;
+  std::vector<std::unique_ptr<ClientTxn>> clients_;
   std::optional<FrameCodec> frame_codec_;   // channel mode
   std::unique_ptr<LossyChannel> channel_;   // channel mode
   // Per-cycle scratch reused across cycles so steady-state cycles allocate
@@ -185,7 +136,6 @@ class BroadcastSim {
   std::vector<Frame> frame_scratch_;
   SimMetrics metrics_;
   Tracer* tracer_ = nullptr;        // not owned; null = tracing off
-  TraceRing* server_trace_ = nullptr;
 
   uint32_t completed_txns_ = 0;
   TxnId next_client_update_id_ = 2 * kClientTxnIdBase;  // disjoint id range
@@ -195,12 +145,35 @@ class BroadcastSim {
   // Oracle logs (committed read-only client transactions, all clients).
   std::vector<ClientTxnLog> oracle_client_txns_;
 
-  // Cross-check decision logs (config_.record_decisions only).
+  // Per-client decision logs, gathered from the cores after the run
+  // (config_.record_decisions only).
   std::vector<std::vector<TxnDecision>> decisions_;
 };
 
 /// Convenience: run one configuration and return its summary.
 StatusOr<SimSummary> RunSimulation(const SimConfig& config);
+
+/// One side of a differential check: a finished run's server state,
+/// per-client decision logs and abort breakdown.
+struct RunRecord {
+  const char* label;
+  const ServerTxnManager& manager;
+  const std::vector<std::vector<TxnDecision>>& decisions;
+  const AbortBreakdown& abort_causes;
+};
+
+/// The comparison every differential check shares (the DES variants below
+/// and CrossCheckEngines): value-equal control matrices across
+/// representations, equal MC vectors, stores and commit counts, equal abort
+/// breakdowns and identical per-client decision logs. Returns Internal
+/// naming the first divergence.
+Status CompareRuns(const RunRecord& a, const RunRecord& b);
+
+/// Forces the timing-independent cutoff every differential check relies on:
+/// the cycle cutoff is the only stop condition (InvalidArgument naming
+/// `name` when stop_after_cycles is 0), so both runs see the same prefix of
+/// every client's transaction stream; record_decisions is forced on.
+Status PrepareCrossCheck(SimConfig& config, const char* name);
 
 /// Runs `config` twice — once with full-matrix control broadcast, once in
 /// snapshot+delta mode — and verifies identical per-client commit/abort

@@ -15,16 +15,19 @@
 // holds for every transaction exactly as in the sequential engine; see
 // DESIGN.md, "Concurrent engine".
 //
+// The engine is a driver: threads, barriers and a desk mutex around the two
+// cores the DES drives too — ServerCycle (server/server_cycle.h) for the
+// server and one ClientTxn (sim/client_txn.h) per client thread.
+//
 // Determinism: client reads touch only the published snapshot and the
 // server touches only its staging state, so within an epoch no ordering
 // between threads is observable. Each client's event timeline (think
-// times, slot waits, restarts) is private and seeded, and the engine
-// reproduces the DES's event semantics per client — including its
-// (time, insertion-order) tie-breaking at cycle boundaries — so a run's
-// commit/abort decisions are a pure function of the SimConfig. The
-// cross-check below replays the same seeded workload through the
-// single-threaded BroadcastSim and demands identical per-client decision
-// logs and identical final server state.
+// times, slot waits, restarts) is private and seeded, and a client thread
+// runs its core's events in the phase the DES boundary rule (PhaseOf)
+// places them in, so a run's commit/abort decisions are a pure function of
+// the SimConfig. The cross-check below replays the same seeded workload
+// through the single-threaded BroadcastSim and demands identical per-client
+// decision logs and identical final server state.
 
 #ifndef BCC_SIM_CONCURRENT_SIM_H_
 #define BCC_SIM_CONCURRENT_SIM_H_
@@ -39,9 +42,9 @@
 #include "common/statusor.h"
 #include "obs/trace.h"
 #include "server/server_cycle.h"
+#include "sim/client_txn.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
-#include "sim/workload.h"
 
 namespace bcc {
 
@@ -106,21 +109,20 @@ class ConcurrentSim {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  struct ClientState;
-
-  /// Executes every event of client `cs` belonging to broadcast cycle
-  /// `phase`, reading from the immutable `snap` (= cycle `phase`'s state).
-  void ProcessClientPhase(ClientState& cs, Cycle phase, const CycleSnapshot& snap);
+  /// Runs every event of `client` belonging to broadcast cycle `phase`,
+  /// reading from the immutable `snap` (= cycle `phase`'s state).
+  /// `pre_flip` is the pending event's side of the boundary rule.
+  void ProcessClientPhase(ClientTxn& client, bool& pre_flip, Cycle phase,
+                          const CycleSnapshot& snap);
 
   /// Commits broadcast cycle `phase`'s server transactions into the core
-  /// (ServerCycle::CommitCycle) and traces them. Without uplinks the server
-  /// thread runs it during the phase, followed by the fold; with uplinks it
-  /// runs in the exclusive section *before* the phase, so the overlay is
-  /// complete and immutable while client threads validate against it.
+  /// (ServerCycle::CommitCycle). Without uplinks the server thread runs it
+  /// during the phase, followed by the fold; with uplinks it runs in the
+  /// exclusive section *before* the phase, so the overlay is complete and
+  /// immutable while client threads validate against it.
   void StageServerPhase(Cycle phase);
 
   SimConfig config_;
-  BroadcastGeometry geometry_;
   SimTime cycle_bits_ = 0;
 
   std::unique_ptr<ServerCycle> core_;
@@ -132,7 +134,7 @@ class ConcurrentSim {
   /// against the phase's desk traffic).
   std::mutex uplink_mu_;
   TxnId next_client_update_id_ = 0;
-  std::vector<std::unique_ptr<ClientState>> clients_;
+  std::vector<std::unique_ptr<ClientTxn>> clients_;
 
   /// The on-air snapshot of the current cycle. Written by the server thread
   /// only between the phase-end and publish barriers (while every client
@@ -153,14 +155,14 @@ class ConcurrentSim {
 
   std::vector<std::vector<TxnDecision>> decisions_;
   Tracer* tracer_ = nullptr;         // not owned; null = tracing off
-  TraceRing* server_trace_ = nullptr;
   bool ran_ = false;
 };
 
 /// Runs `config` through both the single-threaded BroadcastSim and the
-/// ConcurrentSim and verifies that they made identical commit/abort
-/// decisions and reached identical server state (store, F-Matrix, MC
-/// vector, commit count). Requires config.stop_after_cycles > 0 so both
+/// ConcurrentSim and verifies (CompareRuns) that they made identical
+/// commit/abort decisions with identical abort breakdowns and reached
+/// identical server state (store, control matrix, MC vector, commit
+/// count). Requires config.stop_after_cycles > 0 so both
 /// engines observe the same timing-independent cutoff; record_decisions is
 /// forced on and the transaction-count cutoff is disabled internally.
 /// Returns Internal with a description of the first divergence.

@@ -32,6 +32,21 @@ struct TxnDecision {
   }
 };
 
+/// One client's counters, kept by its transaction core (sim/client_txn.h)
+/// and merged by the engine after the run. Counts commute, so merge order
+/// is irrelevant; every abort attempt is counted, never warmup-filtered.
+struct ClientTally {
+  uint64_t completed = 0;
+  uint64_t censored = 0;
+  uint64_t restarts = 0;        ///< summed over completed transactions
+  uint64_t update_commits = 0;  ///< uplink transactions accepted at validation
+  uint64_t update_rejects = 0;  ///< uplink transactions rejected at validation
+  uint64_t delta_stalls = 0;    ///< reads stalled on an unusable delta tracker
+  AbortBreakdown abort_causes;
+  /// Completion order; empty unless config.record_decisions.
+  std::vector<TxnDecision> decisions;
+};
+
 /// Aggregated results of one simulation run. Response times are bit-units.
 struct SimSummary {
   // Steady-state window (transactions after warmup).
@@ -113,9 +128,6 @@ class SimMetrics {
     delta_control_bits_ += control_bits;
     full_control_bits_ += full_bits;
   }
-  /// A client read stalled because its tracker was desynced (waiting for the
-  /// next full refresh).
-  void RecordDeltaStall() { ++delta_stall_waits_; }
 
   /// Accounts one cycle's sparse control encoding.
   void RecordMatrixCycle(uint64_t control_bits) {
@@ -126,6 +138,16 @@ class SimMetrics {
 
   /// Folds one client's channel/receiver counters into the run totals.
   void AccumulateChannel(const ChannelStats& stats) { channel_.Accumulate(stats); }
+
+  /// Folds one client's tally (abort causes, uplink outcomes, delta stalls)
+  /// into the run totals; accepted uplinks also count as server commits.
+  void AccumulateClient(const ClientTally& tally) {
+    server_commits_ += tally.update_commits;
+    client_update_commits_ += tally.update_commits;
+    client_update_rejects_ += tally.update_rejects;
+    delta_stall_waits_ += tally.delta_stalls;
+    abort_causes_.Accumulate(tally.abort_causes);
+  }
 
   /// Records one abort (or censoring) with its structured cause. Counted for
   /// every attempt of every transaction — never warmup-filtered — so the

@@ -7,6 +7,9 @@
 //   - STATS attribution: the daemon files a client's final STATS under the
 //     address that sent HELLO, not under the client_index the datagram
 //     claims. A sender that never registered cannot replace a real report.
+//   - Decision-log attribution: an UPDATE is logged under its sender's
+//     HELLO-registered slot, whatever client_index it claims; one from an
+//     address that never registered is logged under kUnregisteredClient.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -56,6 +59,18 @@ std::string ReadFile(const std::string& path) {
   return out.str();
 }
 
+std::string ReadEndpoint(const std::string& endpoint_file) {
+  std::string endpoint;
+  for (int i = 0; i < 400 && endpoint.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    endpoint = ReadFile(endpoint_file);
+  }
+  while (!endpoint.empty() && (endpoint.back() == '\n' || endpoint.back() == '\r')) {
+    endpoint.pop_back();
+  }
+  return endpoint;
+}
+
 TEST(NetStatsAttributionTest, ForgedStatsFromUnregisteredAddressAreDropped) {
   SimConfig sim;
   sim.num_objects = 16;
@@ -84,14 +99,7 @@ TEST(NetStatsAttributionTest, ForgedStatsFromUnregisteredAddressAreDropped) {
   Status server_status = Status::OK();
   std::thread server([&] { server_status = RunServerDaemon(server_net, sim, &server_report); });
 
-  std::string endpoint;
-  for (int i = 0; i < 400 && endpoint.empty(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    endpoint = ReadFile(endpoint_file);
-  }
-  while (!endpoint.empty() && (endpoint.back() == '\n' || endpoint.back() == '\r')) {
-    endpoint.pop_back();
-  }
+  const std::string endpoint = ReadEndpoint(endpoint_file);
   // No ASSERT until both threads are joined: a joinable std::thread that
   // goes out of scope ends the program.
   EXPECT_FALSE(endpoint.empty()) << "daemon never wrote its endpoint file";
@@ -141,6 +149,122 @@ TEST(NetStatsAttributionTest, ForgedStatsFromUnregisteredAddressAreDropped) {
   EXPECT_EQ(client_report.digest, expected);
   ASSERT_EQ(server_report.clients.size(), 1u);
   EXPECT_EQ(server_report.clients[0].digest, expected);
+}
+
+TEST(NetDecisionLogTest, UpdatesAreLoggedUnderTheSendersRegisteredSlot) {
+  SimConfig sim;
+  sim.num_objects = 16;
+  sim.object_size_bits = 2048;
+  sim.seed = 7;
+  sim.num_clients = 2;
+  sim.stop_after_cycles = 20;
+  sim.channel_broadcast = true;
+  sim.use_wire_codec = true;
+
+  const std::string endpoint_file = ::testing::TempDir() + "/bcc_forged_update.ep";
+  ::unlink(endpoint_file.c_str());
+  NetConfig server_net;
+  server_net.listen = "127.0.0.1:0";
+  server_net.endpoint_file = endpoint_file;
+  server_net.expected_clients = 2;
+  server_net.pace_cycles_per_sec = 100;
+  server_net.max_wall_ms = 60000;
+  server_net.decisions_out = ::testing::TempDir() + "/bcc_forged_update_decisions.json";
+  ServerReport server_report;
+  Status server_status = Status::OK();
+  std::thread server([&] { server_status = RunServerDaemon(server_net, sim, &server_report); });
+
+  const std::string endpoint = ReadEndpoint(endpoint_file);
+  // No ASSERT until every thread is joined: a joinable std::thread that goes
+  // out of scope ends the program.
+  EXPECT_FALSE(endpoint.empty()) << "daemon never wrote its endpoint file";
+  StatusOr<SockAddr> daemon_addr = Status::Internal("no daemon endpoint");
+  if (const StatusOr<Endpoint> target = ParseEndpoint(endpoint); target.ok()) {
+    daemon_addr = ResolveEndpoint(*target);
+  }
+
+  // A hand-driven client registers first (slot 0), so the real client below
+  // takes slot 1. Once cycles flow it sends one UPDATE claiming slot 1's
+  // index, and a second socket that never says HELLO sends one claiming 0;
+  // then it answers the daemon's STATS_REQ so the session can end.
+  constexpr uint32_t kNoSlot = UINT32_MAX;
+  constexpr ObjectId kForgedWrite = 3;
+  constexpr ObjectId kStrangerWrite = 5;
+  std::atomic<uint32_t> raw_slot{kNoSlot};
+  std::atomic<bool> raw_done{false};
+  std::thread raw([&] {
+    UdpSocket sock;
+    UdpSocket stranger;
+    if (!daemon_addr.ok() || !sock.Open().ok() || !sock.Bind(Endpoint{"127.0.0.1", 0}).ok() ||
+        !stranger.Open().ok() || !stranger.Bind(Endpoint{"127.0.0.1", 0}).ok()) {
+      raw_done.store(true);
+      return;
+    }
+    const std::vector<uint8_t> hello = EncodeHello(HelloMsg{99});
+    bool updated = false;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!raw_done.load() && std::chrono::steady_clock::now() < deadline) {
+      if (raw_slot.load() == kNoSlot) (void)sock.SendTo(hello, *daemon_addr);
+      const StatusOr<std::vector<InDatagram>> got = sock.RecvBatch(64, 65536);
+      if (got.ok()) {
+        for (const InDatagram& d : *got) {
+          const StatusOr<MsgKind> kind = PeekKind(d.bytes);
+          if (!kind.ok()) continue;
+          if (*kind == MsgKind::kHelloAck && raw_slot.load() == kNoSlot) {
+            if (const auto ack = DecodeHelloAck(d.bytes); ack.ok()) {
+              raw_slot.store(ack->client_index);
+            }
+          } else if (*kind == MsgKind::kCycleData && !updated) {
+            updated = true;
+            UpdateMsg forged;
+            forged.client_index = raw_slot.load() + 1;  // the other client's slot
+            forged.seq = 1;
+            forged.writes = {kForgedWrite};
+            (void)sock.SendTo(EncodeUpdate(forged), *daemon_addr);
+            UpdateMsg unregistered;
+            unregistered.client_index = 0;
+            unregistered.seq = 2;
+            unregistered.writes = {kStrangerWrite};
+            (void)stranger.SendTo(EncodeUpdate(unregistered), *daemon_addr);
+          } else if (*kind == MsgKind::kStatsReq) {
+            StatsMsg stats;
+            stats.client_index = raw_slot.load();
+            (void)sock.SendTo(EncodeStats(stats), *daemon_addr);
+            raw_done.store(true);
+          }
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    raw_done.store(true);
+  });
+
+  while (raw_slot.load() == kNoSlot && !raw_done.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  NetConfig client_net;
+  client_net.connect = endpoint;
+  client_net.client_id = 1;
+  client_net.max_wall_ms = 60000;
+  ClientReport client_report;
+  const Status client_status = RunClientRuntime(client_net, sim, &client_report);
+  server.join();
+  raw_done.store(true);
+  raw.join();
+
+  ASSERT_TRUE(server_status.ok()) << server_status.ToString();
+  ASSERT_TRUE(client_status.ok()) << client_status.ToString();
+  ASSERT_EQ(raw_slot.load(), 0u);
+  ASSERT_EQ(server_report.decisions.uplinks.size(), 2u);
+  for (const UplinkDecision& d : server_report.decisions.uplinks) {
+    ASSERT_EQ(d.writes.size(), 1u);
+    if (d.writes[0] == kForgedWrite) {
+      EXPECT_EQ(d.client_index, 0u) << "logged under the index the UPDATE claimed";
+    } else {
+      EXPECT_EQ(d.writes[0], kStrangerWrite);
+      EXPECT_EQ(d.client_index, UplinkDecision::kUnregisteredClient);
+    }
+  }
 }
 
 }  // namespace
