@@ -1,5 +1,6 @@
 #include "channel/frame.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -11,39 +12,54 @@ namespace bcc {
 
 namespace {
 
-/// Copies `nbits` bits from `reader` into `writer` in 32-bit chunks.
-Status CopyBits(BitReader* reader, BitWriter* writer, uint64_t nbits) {
-  while (nbits > 0) {
-    const unsigned chunk = static_cast<unsigned>(nbits < 32 ? nbits : 32);
-    uint32_t value = 0;
-    BCC_RETURN_IF_ERROR(reader->Read(chunk, &value));
-    writer->Write(value, chunk);
-    nbits -= chunk;
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTables[0] is
+/// the classic byte table, and kCrcTables[k][b] advances b's CRC through k
+/// further zero bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
-  return Status::OK();
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  }
+  return t;
 }
 
-void AppendPayloadBits(BitWriter* writer, const Payload& payload) {
-  BitReader reader(payload.bytes);
-  const Status s = CopyBits(&reader, writer, payload.bits);
-  assert(s.ok());
-  (void)s;
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+uint32_t LoadLE32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
 }
+
+/// Header fields after the cycle residue, packed LSB-first.
+constexpr unsigned kFieldBits = FrameCodec::kKindBits + FrameCodec::kStreamIdBits +
+                                FrameCodec::kSeqBits + FrameCodec::kLastBits +
+                                FrameCodec::kPayloadLenBits;
+static_assert(kFieldBits <= kMaxWordBits);
+constexpr unsigned kStreamIdShift = FrameCodec::kKindBits;
+constexpr unsigned kSeqShift = kStreamIdShift + FrameCodec::kStreamIdBits;
+constexpr unsigned kLastShift = kSeqShift + FrameCodec::kSeqBits;
+constexpr unsigned kPayloadLenShift = kLastShift + FrameCodec::kLastBits;
 
 }  // namespace
 
 uint32_t Crc32(std::span<const uint8_t> bytes) {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const CrcTables& t = kCrcTables;
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (const uint8_t b : bytes) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLE32(p);
+    const uint32_t hi = LoadLE32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -92,112 +108,123 @@ void FrameCodec::EncodeStreamInto(FrameKind kind, uint32_t stream_id, Cycle cycl
   const uint64_t num_frames = payload.bits == 0 ? 1 : (payload.bits + capacity - 1) / capacity;
   assert(num_frames <= (1ull << kSeqBits));
 
-  BitReader reader(payload.bytes);
-  uint64_t remaining = payload.bits;
+  const unsigned ts = stamp_codec_.bits();
+  const uint64_t residue = stamp_codec_.Encode(cycle);
+  const size_t body_bytes = frame_bytes() - kCrcBits / 8;
+  uint64_t offset = 0;
   for (uint64_t seq = 0; seq < num_frames; ++seq) {
-    const uint64_t chunk = remaining < capacity ? remaining : capacity;
-    const bool last = seq + 1 == num_frames;
-
-    BitWriter w;
-    w.Write(stamp_codec_.Encode(cycle), stamp_codec_.bits());
-    w.Write(static_cast<uint32_t>(kind), kKindBits);
-    w.Write(stream_id, kStreamIdBits);
-    w.Write(static_cast<uint32_t>(seq), kSeqBits);
-    w.Write(last ? 1u : 0u, kLastBits);
-    w.Write(static_cast<uint32_t>(chunk), kPayloadLenBits);
-    const Status copied = CopyBits(&reader, &w, chunk);
-    assert(copied.ok());
-    (void)copied;
-    remaining -= chunk;
-    // Zero-pad to the CRC position, then seal the frame.
-    uint64_t pad = frame_bits_ - kCrcBits - w.bit_size();
-    while (pad > 0) {
-      const unsigned step = static_cast<unsigned>(pad < 32 ? pad : 32);
-      w.Write(0, step);
-      pad -= step;
-    }
-    const uint32_t crc = Crc32(w.bytes());
-    w.Write(crc, kCrcBits);
-    if (used < out.size()) {
-      out[used].bytes.assign(w.bytes().begin(), w.bytes().end());
-    } else {
-      out.push_back(Frame{w.bytes()});
-    }
-    ++used;
+    const uint64_t chunk = std::min(payload.bits - offset, capacity);
+    const uint64_t last = seq + 1 == num_frames ? 1 : 0;
+    if (used == out.size()) out.emplace_back();
+    std::vector<uint8_t>& bytes = out[used++].bytes;
+    // Header, payload slice and zero padding, then the CRC over all of it.
+    bytes.assign(frame_bytes(), 0);
+    OrBits(bytes, 0, residue, ts);
+    OrBits(bytes, ts,
+           static_cast<uint64_t>(kind) | uint64_t{stream_id} << kStreamIdShift |
+               seq << kSeqShift | last << kLastShift | chunk << kPayloadLenShift,
+           kFieldBits);
+    CopyBitRange(bytes, header_bits(), payload.bytes, offset, chunk);
+    OrBits(bytes, body_bytes * 8, Crc32({bytes.data(), body_bytes}), kCrcBits);
+    offset += chunk;
   }
+}
+
+Status FrameCodec::DecodeHeader(std::span<const uint8_t> frame, FrameHeader* header) const {
+  if (frame.size() != frame_bytes()) {
+    return Status::InvalidArgument(
+        StrFormat("frame is %zu bytes, expected %zu", frame.size(), frame_bytes()));
+  }
+  const size_t body_bytes = frame.size() - kCrcBits / 8;
+  if (LoadBits(frame, body_bytes * 8, kCrcBits) != Crc32(frame.first(body_bytes))) {
+    return Status::InvalidArgument("frame CRC mismatch");
+  }
+  const unsigned ts = stamp_codec_.bits();
+  const uint64_t fields = LoadBits(frame, ts, kFieldBits);
+  const uint64_t kind = fields & LowBitMask(kKindBits);
+  if (kind > kMaxFrameKind) return Status::InvalidArgument("unknown frame kind");
+  const uint64_t payload_bits = (fields >> kPayloadLenShift) & LowBitMask(kPayloadLenBits);
+  if (payload_bits > payload_capacity_bits()) {
+    return Status::InvalidArgument("frame payload length exceeds capacity");
+  }
+  header->cycle_residue = static_cast<uint32_t>(LoadBits(frame, 0, ts));
+  header->kind = static_cast<FrameKind>(kind);
+  header->stream_id =
+      static_cast<uint32_t>((fields >> kStreamIdShift) & LowBitMask(kStreamIdBits));
+  header->seq = static_cast<uint32_t>((fields >> kSeqShift) & LowBitMask(kSeqBits));
+  header->last = ((fields >> kLastShift) & 1u) != 0;
+  header->payload_bits = static_cast<uint32_t>(payload_bits);
+  return Status::OK();
 }
 
 StatusOr<DecodedFrame> FrameCodec::Decode(const Frame& frame) const {
-  if (frame.bytes.size() != frame_bytes()) {
-    return Status::InvalidArgument(StrFormat("frame is %zu bytes, expected %zu",
-                                             frame.bytes.size(), frame_bytes()));
-  }
-  const std::span<const uint8_t> body(frame.bytes.data(), frame.bytes.size() - kCrcBits / 8);
-  BitReader crc_reader(
-      std::span<const uint8_t>(frame.bytes.data() + body.size(), kCrcBits / 8));
-  uint32_t stored_crc = 0;
-  BCC_RETURN_IF_ERROR(crc_reader.Read(kCrcBits, &stored_crc));
-  if (stored_crc != Crc32(body)) return Status::InvalidArgument("frame CRC mismatch");
-
-  BitReader r(body);
   DecodedFrame out;
-  uint32_t v = 0;
-  BCC_RETURN_IF_ERROR(r.Read(stamp_codec_.bits(), &v));
-  out.header.cycle_residue = v;
-  BCC_RETURN_IF_ERROR(r.Read(kKindBits, &v));
-  if (v > kMaxFrameKind) return Status::InvalidArgument("unknown frame kind");
-  out.header.kind = static_cast<FrameKind>(v);
-  BCC_RETURN_IF_ERROR(r.Read(kStreamIdBits, &v));
-  out.header.stream_id = v;
-  BCC_RETURN_IF_ERROR(r.Read(kSeqBits, &v));
-  out.header.seq = v;
-  BCC_RETURN_IF_ERROR(r.Read(kLastBits, &v));
-  out.header.last = v != 0;
-  BCC_RETURN_IF_ERROR(r.Read(kPayloadLenBits, &v));
-  if (v > payload_capacity_bits()) {
-    return Status::InvalidArgument("frame payload length exceeds capacity");
-  }
-  out.header.payload_bits = v;
-
-  BitWriter payload;
-  BCC_RETURN_IF_ERROR(CopyBits(&r, &payload, v));
-  out.payload.bytes = payload.bytes();
-  out.payload.bits = v;
+  BCC_RETURN_IF_ERROR(DecodeHeader(frame.bytes, &out.header));
+  out.payload.bits = out.header.payload_bits;
+  out.payload.bytes.assign((out.payload.bits + 7) / 8, 0);
+  CopyBitRange(out.payload.bytes, 0, frame.bytes, header_bits(), out.payload.bits);
   return out;
 }
 
-void StreamReassembler::Add(const DecodedFrame& frame) {
+void StreamReassembler::Add(const FrameHeader& header, std::span<const uint8_t> src,
+                            uint64_t payload_bit) {
   if (broken_) return;
-  const uint32_t seq = frame.header.seq;
+  const uint32_t seq = header.seq;
   if (last_seq_known_) {
     // A frame past the last-flagged sequence, or a second, different
     // last-flagged frame, contradicts the stream's claimed extent.
-    if (seq > last_seq_ || (frame.header.last && seq != last_seq_)) {
+    if (seq > last_seq_ || (header.last && seq != last_seq_)) {
       broken_ = true;
       return;
     }
-  } else if (frame.header.last) {
-    if (!frames_.empty() && frames_.rbegin()->first > seq) {
+  } else if (header.last) {
+    if (!slices_.empty() && slices_.back().seq > seq) {
       broken_ = true;  // already buffered a frame past the claimed last
       return;
     }
     last_seq_ = seq;
     last_seq_known_ = true;
   }
-  const auto [it, inserted] = frames_.emplace(seq, frame.payload);
-  if (!inserted && it->second.bits != frame.payload.bits) {
-    broken_ = true;  // two valid frames for one seq disagreeing on size
+  // Frames usually arrive in order, so the new slice usually goes last.
+  auto it = slices_.end();
+  if (!slices_.empty() && slices_.back().seq >= seq) {
+    it = std::lower_bound(slices_.begin(), slices_.end(), seq,
+                          [](const Slice& s, uint32_t q) { return s.seq < q; });
+  }
+  if (it != slices_.end() && it->seq == seq) {
+    // A duplicate is ignored; two valid frames for one seq that disagree on
+    // size break the stream.
+    if (it->bits != header.payload_bits) broken_ = true;
+    return;
+  }
+  if (payload_bit + header.payload_bits > src.size() * 8) {
+    broken_ = true;  // a slice larger than the bytes that carry it
+    return;
+  }
+  const size_t offset = arena_.size();
+  arena_.resize(offset + (header.payload_bits + 7) / 8);
+  CopyBitRange(std::span<uint8_t>(arena_).subspan(offset), 0, src, payload_bit,
+               header.payload_bits);
+  slices_.insert(it, Slice{seq, header.payload_bits, offset});
+}
+
+void StreamReassembler::Take(Payload* out) const {
+  out->bits = 0;
+  for (const Slice& s : slices_) out->bits += s.bits;
+  out->bytes.assign((out->bits + 7) / 8, 0);
+  uint64_t at = 0;
+  for (const Slice& s : slices_) {
+    CopyBitRange(out->bytes, at, std::span<const uint8_t>(arena_).subspan(s.offset), 0, s.bits);
+    at += s.bits;
   }
 }
 
-Payload StreamReassembler::Take() {
-  BitWriter w;
-  uint64_t bits = 0;
-  for (auto& [seq, payload] : frames_) {
-    AppendPayloadBits(&w, payload);
-    bits += payload.bits;
-  }
-  return Payload{w.bytes(), bits};
+void StreamReassembler::Clear() {
+  slices_.clear();
+  arena_.clear();
+  last_seq_ = 0;
+  last_seq_known_ = false;
+  broken_ = false;
 }
 
 Payload EncodeIndexPayload(const CycleIndex& index) {
@@ -232,20 +259,20 @@ StatusOr<CycleIndex> DecodeIndexPayload(const Payload& payload) {
 }
 
 Payload EncodeObjectPayload(const ObjectVersion& version, uint64_t object_size_bits) {
-  BitWriter w;
-  w.Write(static_cast<uint32_t>(version.value & 0xFFFFFFFFull), 32);
-  w.Write(static_cast<uint32_t>(version.value >> 32), 32);
-  w.Write(version.writer, 32);
-  w.Write(static_cast<uint32_t>(version.cycle & 0xFFFFFFFFull), 32);
-  w.Write(static_cast<uint32_t>(version.cycle >> 32), 32);
-  uint64_t pad =
-      object_size_bits > kObjectVersionBits ? object_size_bits - kObjectVersionBits : 0;
-  while (pad > 0) {
-    const unsigned step = static_cast<unsigned>(pad < 32 ? pad : 32);
-    w.Write(0, step);
-    pad -= step;
-  }
-  return Payload{w.bytes(), w.bit_size()};
+  Payload payload;
+  EncodeObjectPayloadInto(version, object_size_bits, &payload);
+  return payload;
+}
+
+void EncodeObjectPayloadInto(const ObjectVersion& version, uint64_t object_size_bits,
+                             Payload* out) {
+  out->bits = std::max(kObjectVersionBits, object_size_bits);
+  out->bytes.assign((out->bits + 7) / 8, 0);  // the zero padding included
+  OrBits(out->bytes, 0, version.value & 0xFFFFFFFFull, 32);
+  OrBits(out->bytes, 32, version.value >> 32, 32);
+  OrBits(out->bytes, 64, version.writer, 32);
+  OrBits(out->bytes, 96, version.cycle & 0xFFFFFFFFull, 32);
+  OrBits(out->bytes, 128, version.cycle >> 32, 32);
 }
 
 StatusOr<ObjectVersion> DecodeObjectPayload(const Payload& payload) {
@@ -278,6 +305,10 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
   const CycleStampCodec& sc = codec.stamp_codec();
   const uint32_t n = static_cast<uint32_t>(snap.values.size());
   size_t used = 0;
+  // Staging for one object page and one control column, kept across cycles.
+  thread_local Payload page;
+  thread_local Payload column;
+  thread_local std::vector<Cycle> sparse_col;
 
   const auto emit = [&](FrameKind kind, uint32_t stream_id, const Payload& payload) {
     codec.EncodeStreamInto(kind, stream_id, snap.cycle, payload, out, used);
@@ -308,7 +339,8 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
                    DeltaCodec::EncodedBits(snap.delta->entries.size(), n, sc.bits())});
     }
     for (uint32_t j = 0; j < n; ++j) {
-      emit(FrameKind::kData, j, EncodeObjectPayload(snap.values[j], object_size_bits));
+      EncodeObjectPayloadInto(snap.values[j], object_size_bits, &page);
+      emit(FrameKind::kData, j, page);
     }
     out.resize(used);
     return;
@@ -316,18 +348,17 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
 
   // Full mode: the on-air slot layout — each object's data page immediately
   // followed by its control column.
-  std::vector<Cycle> sparse_col;
   for (uint32_t j = 0; j < n; ++j) {
-    emit(FrameKind::kData, j, EncodeObjectPayload(snap.values[j], object_size_bits));
+    EncodeObjectPayloadInto(snap.values[j], object_size_bits, &page);
+    emit(FrameKind::kData, j, page);
     if (snap.sparse_f_matrix != nullptr) {
       snap.sparse_f_matrix->MaterializeColumn(j, sparse_col);
-      emit(FrameKind::kControlColumn, j,
-           Payload{PackStamps(sparse_col, sc), static_cast<uint64_t>(n) * sc.bits()});
+      PackStampsInto(sparse_col, sc, &column.bytes);
     } else {
-      emit(FrameKind::kControlColumn, j,
-           Payload{PackStamps(snap.f_matrix.Column(j), sc),
-                   static_cast<uint64_t>(n) * sc.bits()});
+      PackStampsInto(snap.f_matrix.Column(j), sc, &column.bytes);
     }
+    column.bits = static_cast<uint64_t>(n) * sc.bits();
+    emit(FrameKind::kControlColumn, j, column);
   }
   out.resize(used);
 }

@@ -27,7 +27,6 @@
 #define BCC_CHANNEL_FRAME_H_
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -116,8 +115,13 @@ class FrameCodec {
   void EncodeStreamInto(FrameKind kind, uint32_t stream_id, Cycle cycle, const Payload& payload,
                         std::vector<Frame>& out, size_t& used) const;
 
-  /// Validates size, CRC, and header fields; returns the header plus the
-  /// frame's payload slice. InvalidArgument on any framing violation.
+  /// Validates size, CRC, and header fields of a received frame in place; on
+  /// success `*header` holds the header, and the payload slice is the
+  /// header->payload_bits bits from bit header_bits() of `frame`.
+  /// InvalidArgument on any framing violation.
+  Status DecodeHeader(std::span<const uint8_t> frame, FrameHeader* header) const;
+
+  /// DecodeHeader plus a copy of the frame's payload slice.
   StatusOr<DecodedFrame> Decode(const Frame& frame) const;
 
  private:
@@ -135,18 +139,29 @@ class FrameCodec {
 /// is never complete.
 class StreamReassembler {
  public:
-  void Add(const DecodedFrame& frame);
+  void Add(const DecodedFrame& frame) { Add(frame.header, frame.payload.bytes, 0); }
+  /// Same, for a frame whose payload slice is the header.payload_bits bits
+  /// from bit `payload_bit` of `src` (a received frame read in place).
+  void Add(const FrameHeader& header, std::span<const uint8_t> src, uint64_t payload_bit);
 
   bool complete() const {
-    return !broken_ && last_seq_known_ && frames_.size() == static_cast<size_t>(last_seq_) + 1;
+    return !broken_ && last_seq_known_ && slices_.size() == static_cast<size_t>(last_seq_) + 1;
   }
   bool broken() const { return broken_; }
-  /// The reassembled payload, frames concatenated in sequence order
-  /// (meaningful only when complete()).
-  Payload Take();
+  /// Writes the reassembled payload, frames concatenated in sequence order,
+  /// into `out`, reusing its buffer (meaningful only when complete()).
+  void Take(Payload* out) const;
+  /// Forgets the stream but keeps its buffers, for the next cycle's frames.
+  void Clear();
 
  private:
-  std::map<uint32_t, Payload> frames_;  // seq -> payload slice, dups ignored
+  struct Slice {
+    uint32_t seq;
+    uint32_t bits;
+    size_t offset;  // first byte in arena_
+  };
+  std::vector<Slice> slices_;   // ascending seq; the first frame of a seq wins
+  std::vector<uint8_t> arena_;  // slices in arrival order, each from a byte boundary
   uint32_t last_seq_ = 0;
   bool last_seq_known_ = false;
   bool broken_ = false;
@@ -173,6 +188,9 @@ StatusOr<CycleIndex> DecodeIndexPayload(const Payload& payload);
 inline constexpr uint64_t kObjectVersionBits = 160;
 
 Payload EncodeObjectPayload(const ObjectVersion& version, uint64_t object_size_bits);
+/// Same, into `out`, reusing its buffer.
+void EncodeObjectPayloadInto(const ObjectVersion& version, uint64_t object_size_bits,
+                             Payload* out);
 StatusOr<ObjectVersion> DecodeObjectPayload(const Payload& payload);
 
 /// Packetizes one cycle's whole broadcast: the index segment, then per object
@@ -185,7 +203,9 @@ std::vector<Frame> EncodeCycleFrames(const CycleSnapshot& snap, const FrameCodec
 
 /// Capacity-preserving variant: encodes into `out` (resized to the frame
 /// count), reusing its vector storage and per-frame byte buffers across
-/// cycles. The engines call this once per cycle with a long-lived buffer.
+/// cycles. The engines call this once per cycle with a long-lived buffer;
+/// the object pages and columns are staged in per-thread scratch buffers, so
+/// a steady-state cycle allocates nothing.
 void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
                            uint64_t object_size_bits, std::vector<Frame>& out);
 

@@ -1,28 +1,41 @@
 #include "client/receiver.h"
 
-#include <map>
-
 #include "matrix/wire.h"
 
 namespace bcc {
-
-namespace {
-
-uint64_t StreamKey(FrameKind kind, uint32_t stream_id) {
-  return (static_cast<uint64_t>(kind) << 32) | stream_id;
-}
-
-}  // namespace
 
 ChannelReceiver::ChannelReceiver(uint32_t num_objects, FrameCodec codec,
                                  DeltaMatrixTracker* tracker)
     : n_(num_objects),
       codec_(codec),
       tracker_(tracker),
+      streams_(2 * static_cast<size_t>(num_objects) + 3),
       matrix_(num_objects),
       col_cycle_(num_objects, 0),
       values_(num_objects),
       data_cycle_(num_objects, 0) {}
+
+StreamReassembler* ChannelReceiver::Stream(FrameKind kind, uint32_t stream_id) {
+  const size_t shared = 2 * static_cast<size_t>(n_);  // index, delta, refresh
+  switch (kind) {
+    case FrameKind::kData:
+      return stream_id < n_ ? &streams_[stream_id] : nullptr;
+    case FrameKind::kControlColumn:
+      return stream_id < n_ ? &streams_[n_ + stream_id] : nullptr;
+    case FrameKind::kIndex:
+      return stream_id == 0 ? &streams_[shared] : nullptr;
+    case FrameKind::kControlDelta:
+      return stream_id == 0 ? &streams_[shared + 1] : nullptr;
+    case FrameKind::kControlRefresh:
+      return stream_id == 0 ? &streams_[shared + 2] : nullptr;
+  }
+  return nullptr;
+}
+
+const StreamReassembler* ChannelReceiver::Complete(FrameKind kind, uint32_t stream_id) {
+  const StreamReassembler* s = Stream(kind, stream_id);
+  return s != nullptr && s->complete() ? s : nullptr;
+}
 
 void ChannelReceiver::IngestCycle(Cycle cycle, const Transmission& tx, SimTime now) {
   stats_.frames_sent += tx.sent;
@@ -40,29 +53,27 @@ void ChannelReceiver::IngestCycle(Cycle cycle, const Transmission& tx, SimTime n
   }
 
   const uint32_t residue = codec_.stamp_codec().Encode(cycle);
-  std::map<uint64_t, StreamReassembler> streams;
+  for (StreamReassembler& s : streams_) s.Clear();
   for (const Delivery& d : tx.frames) {
-    StatusOr<DecodedFrame> decoded = codec_.Decode(d.frame);
-    if (!decoded.ok() || decoded->header.cycle_residue != residue) {
+    FrameHeader header;
+    if (!codec_.DecodeHeader(d.frame.bytes, &header).ok() || header.cycle_residue != residue) {
       ++stats_.frames_rejected;
       continue;
     }
     // A damaged frame that still passes CRC and framing would be delivered as
     // valid — counted so the sweep can prove it (essentially) never happens.
     if (d.corrupted) ++stats_.frames_delivered_corrupt;
-    streams[StreamKey(decoded->header.kind, decoded->header.stream_id)].Add(*decoded);
+    // Frames of streams this receiver never reads are dropped here.
+    if (StreamReassembler* s = Stream(header.kind, header.stream_id)) {
+      s->Add(header, d.frame.bytes, codec_.header_bits());
+    }
   }
-
-  const auto complete = [&streams](FrameKind kind, uint32_t stream_id) -> StreamReassembler* {
-    const auto it = streams.find(StreamKey(kind, stream_id));
-    if (it == streams.end() || !it->second.complete()) return nullptr;
-    return &it->second;
-  };
 
   // Data pages travel the same way in both control modes.
   for (uint32_t j = 0; j < n_; ++j) {
-    if (StreamReassembler* s = complete(FrameKind::kData, j)) {
-      const StatusOr<ObjectVersion> version = DecodeObjectPayload(s->Take());
+    if (const StreamReassembler* s = Complete(FrameKind::kData, j)) {
+      s->Take(&payload_);
+      const StatusOr<ObjectVersion> version = DecodeObjectPayload(payload_);
       if (version.ok()) {
         values_[j] = *version;
         data_cycle_[j] = cycle;
@@ -77,10 +88,10 @@ void ChannelReceiver::IngestCycle(Cycle cycle, const Transmission& tx, SimTime n
     // windowed decode is congruence-preserving.
     bool all_ok = true;
     for (uint32_t j = 0; j < n_; ++j) {
-      if (StreamReassembler* s = complete(FrameKind::kControlColumn, j)) {
-        const Payload payload = s->Take();
+      if (const StreamReassembler* s = Complete(FrameKind::kControlColumn, j)) {
+        s->Take(&payload_);
         const StatusOr<std::vector<Cycle>> stamps =
-            UnpackStamps(payload.bytes, n_, codec_.stamp_codec(), cycle);
+            UnpackStamps(payload_.bytes, n_, codec_.stamp_codec(), cycle);
         if (stamps.ok()) {
           for (uint32_t i = 0; i < n_; ++i) matrix_.Set(i, j, (*stamps)[i]);
           col_cycle_[j] = cycle;
@@ -110,15 +121,17 @@ void ChannelReceiver::IngestCycle(Cycle cycle, const Transmission& tx, SimTime n
   // desyncs on the next delta's base-cycle gap and waits for a refresh.
   const bool was_synced = tracker_->synced();
   bool observed = false;
-  if (StreamReassembler* s = complete(FrameKind::kIndex, 0)) {
-    const StatusOr<CycleIndex> index = DecodeIndexPayload(s->Take());
+  if (const StreamReassembler* s = Complete(FrameKind::kIndex, 0)) {
+    s->Take(&payload_);
+    const StatusOr<CycleIndex> index = DecodeIndexPayload(payload_);
     if (index.ok() && index->num_objects == n_ &&
         index->cycle_low == static_cast<uint32_t>(cycle & 0xFFFFFFFFull) &&
         index->control_mode != CycleIndex::kControlColumns) {
       const bool refresh = index->control_mode == CycleIndex::kControlRefresh;
       const FrameKind kind = refresh ? FrameKind::kControlRefresh : FrameKind::kControlDelta;
-      if (StreamReassembler* c = complete(kind, 0)) {
-        observed = ObserveControl(cycle, refresh, c->Take());
+      if (const StreamReassembler* c = Complete(kind, 0)) {
+        c->Take(&payload_);
+        observed = ObserveControl(cycle, refresh, payload_);
       }
     }
   }

@@ -79,9 +79,21 @@ class ChannelReceiver {
   /// when the payload fails wire validation (treated as a lost segment).
   bool ObserveControl(Cycle cycle, bool refresh, const Payload& payload);
 
+  /// The reassembler of a stream this receiver consumes, or nullptr for any
+  /// other (kind, stream id): data and column streams per object, and one
+  /// index, delta and refresh stream.
+  StreamReassembler* Stream(FrameKind kind, uint32_t stream_id);
+  /// Stream(kind, stream_id) when that stream is complete, else nullptr.
+  const StreamReassembler* Complete(FrameKind kind, uint32_t stream_id);
+
   uint32_t n_;
   FrameCodec codec_;
   DeltaMatrixTracker* tracker_;  // null in full mode
+
+  // Per-cycle reassembly state, cleared (not freed) each cycle: objects'
+  // data streams, then their column streams, then index, delta, refresh.
+  std::vector<StreamReassembler> streams_;
+  Payload payload_;  // the stream being decoded
 
   FMatrix matrix_;                   // full mode
   std::vector<Cycle> col_cycle_;     // cycle each column was last received in

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace bcc {
 
@@ -88,57 +87,6 @@ double NormalInverseCdf(double p) {
 double NormalQuantileTwoSided(double confidence) {
   assert(confidence > 0.0 && confidence < 1.0);
   return NormalInverseCdf(0.5 + confidence / 2.0);
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets) : lo_(lo), hi_(hi) {
-  assert(hi > lo && buckets > 0);
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::Add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<int64_t>(frac * static_cast<double>(counts_.size()));
-  idx = std::clamp<int64_t>(idx, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::Quantile(double p) const {
-  if (total_ == 0) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
-  const double target = p * static_cast<double>(total_);
-  double cum = 0.0;
-  const double bucket_width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double within = (target - cum) / static_cast<double>(counts_[i]);
-      return lo_ + (static_cast<double>(i) + within) * bucket_width;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::ToAscii(size_t width) const {
-  uint64_t peak = 0;
-  for (uint64_t c : counts_) peak = std::max(peak, c);
-  if (peak == 0) return "(empty histogram)\n";
-  std::string out;
-  const double bucket_width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  char line[160];
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const size_t bar = static_cast<size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) * static_cast<double>(width));
-    std::snprintf(line, sizeof(line), "[%11.3g, %11.3g) %8llu ",
-                  lo_ + static_cast<double>(i) * bucket_width,
-                  lo_ + static_cast<double>(i + 1) * bucket_width,
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace bcc

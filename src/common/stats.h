@@ -4,10 +4,7 @@
 #define BCC_COMMON_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace bcc {
 
@@ -44,29 +41,6 @@ class StreamingStats {
 /// Two-sided standard-normal quantile for the given confidence level, e.g.
 /// 0.95 -> 1.95996. Computed via Acklam's inverse-CDF approximation.
 double NormalQuantileTwoSided(double confidence);
-
-/// Fixed-bucket histogram over [lo, hi); values outside are clamped into the
-/// first/last bucket. Used for response-time distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  size_t count() const { return total_; }
-  const std::vector<uint64_t>& buckets() const { return counts_; }
-
-  /// Approximate p-quantile (0 <= p <= 1) by linear interpolation within the
-  /// containing bucket. Returns 0 when empty.
-  double Quantile(double p) const;
-
-  /// Multi-line ASCII rendering, `width` characters for the largest bar.
-  std::string ToAscii(size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<uint64_t> counts_;
-  size_t total_ = 0;
-};
 
 }  // namespace bcc
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/bitstream.h"
 #include "matrix/kernels.h"
@@ -50,9 +51,17 @@ std::vector<Cycle> DecodeStamps(std::span<const uint32_t> residues, const CycleS
 }
 
 std::vector<uint8_t> PackStamps(std::span<const Cycle> stamps, const CycleStampCodec& codec) {
-  BitWriter writer;
-  for (Cycle c : stamps) writer.Write(codec.Encode(c), codec.bits());
-  return writer.bytes();
+  std::vector<uint8_t> out;
+  PackStampsInto(stamps, codec, &out);
+  return out;
+}
+
+void PackStampsInto(std::span<const Cycle> stamps, const CycleStampCodec& codec,
+                    std::vector<uint8_t>* out) {
+  const unsigned bits = codec.bits();
+  BitWriter writer(std::move(*out));
+  for (const Cycle c : stamps) writer.Write(codec.Encode(c), bits);
+  *out = std::move(writer).Release();
 }
 
 StatusOr<std::vector<Cycle>> UnpackStamps(std::span<const uint8_t> bytes, size_t count,
@@ -63,20 +72,18 @@ StatusOr<std::vector<Cycle>> UnpackStamps(std::span<const uint8_t> bytes, size_t
   if (bytes.size() > expected_bytes) {
     return Status::InvalidArgument("UnpackStamps: buffer has trailing bytes");
   }
-  BitReader reader(bytes);
-  std::vector<Cycle> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    uint32_t residue = 0;
-    BCC_RETURN_IF_ERROR(reader.Read(codec.bits(), &residue));
-    out.push_back(codec.Decode(residue, current));
+  const uint64_t data_bits = static_cast<uint64_t>(count) * codec.bits();
+  if (data_bits > bytes.size() * 8) {
+    return Status::OutOfRange("bit buffer exhausted");
   }
-  if (const size_t pad = reader.bits_remaining(); pad > 0) {
-    uint32_t padding = 0;
-    BCC_RETURN_IF_ERROR(reader.Read(static_cast<unsigned>(pad), &padding));
-    if (padding != 0) {
-      return Status::InvalidArgument("UnpackStamps: nonzero padding bits");
-    }
+  std::vector<Cycle> out(count);
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t residue = LoadBits(bytes, i * codec.bits(), codec.bits());
+    out[i] = codec.Decode(static_cast<uint32_t>(residue), current);
+  }
+  // Padding bits are all within the final byte.
+  if (LoadBits(bytes, data_bits, static_cast<unsigned>(bytes.size() * 8 - data_bits)) != 0) {
+    return Status::InvalidArgument("UnpackStamps: nonzero padding bits");
   }
   return out;
 }
@@ -264,7 +271,7 @@ std::vector<uint8_t> DeltaCodec::Pack(std::span<const Entry> entries, uint32_t n
     }
     writer.Write(e.residue, codec.bits());
   }
-  return writer.bytes();
+  return std::move(writer).Release();
 }
 
 StatusOr<std::vector<DeltaCodec::Entry>> DeltaCodec::Unpack(std::span<const uint8_t> bytes,
@@ -319,7 +326,7 @@ std::vector<uint8_t> PackMatrixImpl(const AnyMatrix& matrix, const CycleStampCod
   for (ObjectId j = 0; j < n; ++j) {
     for (const Cycle c : matrix.Column(j)) writer.Write(codec.Encode(c), codec.bits());
   }
-  return writer.bytes();
+  return std::move(writer).Release();
 }
 
 }  // namespace
@@ -342,7 +349,7 @@ std::vector<uint8_t> PackMatrix(const SparseFMatrix& matrix, const CycleStampCod
     matrix.MaterializeColumn(j, column);
     for (const Cycle c : column) writer.Write(codec.Encode(c), codec.bits());
   }
-  return writer.bytes();
+  return std::move(writer).Release();
 }
 
 StatusOr<FMatrix> UnpackMatrix(std::span<const uint8_t> bytes, uint32_t num_objects,

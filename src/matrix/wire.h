@@ -53,6 +53,9 @@ std::vector<Cycle> DecodeStamps(std::span<const uint32_t> residues, const CycleS
 /// Packs a control column into the on-air bitstream: exactly
 /// stamps.size() * codec.bits() bits, zero-padded to whole bytes.
 std::vector<uint8_t> PackStamps(std::span<const Cycle> stamps, const CycleStampCodec& codec);
+/// Same, into `out`, reusing its buffer.
+void PackStampsInto(std::span<const Cycle> stamps, const CycleStampCodec& codec,
+                    std::vector<uint8_t>* out);
 
 /// Unpacks `count` stamps and decodes them anchored at `current`.
 /// The buffer must be exactly the PackStamps framing: OutOfRange when it is

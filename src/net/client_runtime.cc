@@ -169,6 +169,7 @@ class ClientRuntime {
   Gauge* m_frames_dropped_ = nullptr;
   Histogram* m_response_us_ = nullptr;
   Histogram* m_cycle_gap_ = nullptr;
+  Histogram* m_ingest_us_ = nullptr;
   std::unique_ptr<MetricsLogger> metrics_logger_;
   std::unique_ptr<Tracer> tracer_;
   TraceRing* ring_ = nullptr;
@@ -242,6 +243,7 @@ void ClientRuntime::SetUpTelemetry() {
   m_frames_dropped_ = registry_->AddGauge("channel.frames_dropped");
   m_response_us_ = registry_->AddHistogram("client.response_us", ExponentialBounds(64, 2.0, 16));
   m_cycle_gap_ = registry_->AddHistogram("client.cycle_gap", ExponentialBounds(1, 2.0, 8));
+  m_ingest_us_ = registry_->AddHistogram("client.ingest_us", ExponentialBounds(1, 2.0, 24));
   if (!net_.trace_out.empty()) tracer_ = std::make_unique<Tracer>(net_.trace_capacity);
   // The MetricsLogger is created at handshake time, once the client knows
   // its index (the JSONL "node" field).
@@ -495,7 +497,9 @@ Status ClientRuntime::FlushCycle(Cycle cycle, CycleBuffer&& buffer) {
   }
   tx.sent = buffer.cycle_frames;
   tx.dropped = tx.sent - std::min<uint64_t>(tx.sent, tx.frames.size());
-  receiver_->IngestCycle(cycle, tx, clock_.ElapsedUs());
+  const uint64_t ingest_start_us = clock_.ElapsedUs();
+  receiver_->IngestCycle(cycle, tx, ingest_start_us);
+  HistogramRecord(m_ingest_us_, clock_.ElapsedUs() - ingest_start_us);
   return AdvanceSlots(cycle);
 }
 

@@ -123,7 +123,8 @@ class ServerDaemon {
   Gauge* m_matrix_nnz_ = nullptr;
   Gauge* m_matrix_control_bytes_ = nullptr;
   Histogram* m_slip_hist_ = nullptr;
-  Histogram* m_cycle_ms_ = nullptr;
+  Histogram* m_cycle_us_ = nullptr;
+  Histogram* m_encode_us_ = nullptr;
   Histogram* m_validate_us_ = nullptr;
   /// Per-registered-client live view, fed from uplink traffic.
   struct PerClientMetrics {
@@ -202,7 +203,8 @@ void ServerDaemon::SetUpTelemetry() {
                                   sim_.timestamp_bits / 8));
   }
   m_slip_hist_ = registry_->AddHistogram("pacing.slip_ms_hist", ExponentialBounds(1, 2.0, 12));
-  m_cycle_ms_ = registry_->AddHistogram("server.cycle_ms", ExponentialBounds(1, 2.0, 14));
+  m_cycle_us_ = registry_->AddHistogram("server.cycle_us", ExponentialBounds(1, 2.0, 24));
+  m_encode_us_ = registry_->AddHistogram("server.encode_us", ExponentialBounds(1, 2.0, 24));
   m_validate_us_ = registry_->AddHistogram("uplink.validate_us", ExponentialBounds(1, 2.0, 20));
   if (!net_.trace_out.empty()) {
     tracer_ = std::make_unique<Tracer>(net_.trace_capacity);
@@ -481,7 +483,9 @@ void ServerDaemon::CommitCycle(Cycle cycle) {
 
 Status ServerDaemon::FanOutCycle(Cycle cycle) {
   const CycleSnapshot& snap = core_->server().snapshot();
+  const uint64_t encode_start_us = wall_.ElapsedUs();
   EncodeCycleFramesInto(snap, *codec_, sim_.object_size_bits, frame_scratch_);
+  HistogramRecord(m_encode_us_, wall_.ElapsedUs() - encode_start_us);
   stats_.frames_per_cycle = frame_scratch_.size();
   const std::vector<std::vector<uint8_t>> dgrams =
       PackCycleDatagrams(cycle, frame_scratch_, net_.dgram_bytes);
@@ -560,7 +564,7 @@ Status ServerDaemon::BroadcastCycles() {
     CommitCycle(cycle);
     const uint64_t cycle_us = wall_.ElapsedUs() - cycle_start_us;
     CounterAdd(m_cycles_);
-    HistogramRecord(m_cycle_ms_, cycle_us / 1000);
+    HistogramRecord(m_cycle_us_, cycle_us);
     if (server_ring_ != nullptr) {
       TraceEvent ev;
       ev.type = TraceEventType::kCycleStart;

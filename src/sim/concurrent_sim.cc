@@ -101,8 +101,7 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
   core_->BeginCycle(1, 0);
   published_ = std::make_shared<const CycleSnapshot>(core_->server().snapshot());
   if (channel_ != nullptr) {
-    published_frames_ = std::make_shared<const std::vector<Frame>>(
-        EncodeCycleFrames(*published_, *frame_codec_, config_.object_size_bits));
+    EncodeCycleFramesInto(*published_, *frame_codec_, config_.object_size_bits, frames_);
   }
 
   for (auto& client : clients_) client->Start();
@@ -135,8 +134,7 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
         if (client.receiver() != nullptr) {
           // Per-client fault link and receiver are thread-local; Transmit
           // only touches this client's RNG/burst state inside channel_.
-          const std::shared_ptr<const std::vector<Frame>> frames = published_frames_;
-          client.receiver()->IngestCycle(phase, channel_->Transmit(c, *frames),
+          client.receiver()->IngestCycle(phase, channel_->Transmit(c, frames_),
                                          (phase - 1) * cycle_bits_);
         }
         ProcessClientPhase(client, pre_flip, phase, *snap);
@@ -171,8 +169,7 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
       core_->BeginCycle(phase + 1, phase * cycle_bits_);
       published_ = std::make_shared<const CycleSnapshot>(core_->server().snapshot());
       if (channel_ != nullptr) {
-        published_frames_ = std::make_shared<const std::vector<Frame>>(
-            EncodeCycleFrames(*published_, *frame_codec_, config_.object_size_bits));
+        EncodeCycleFramesInto(*published_, *frame_codec_, config_.object_size_bits, frames_);
       }
       if (core_->uplink()) StageServerPhase(phase + 1);
     }

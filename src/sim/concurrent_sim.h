@@ -140,10 +140,12 @@ class ConcurrentSim {
   /// only between the phase-end and publish barriers (while every client
   /// thread is blocked); read by client threads only during the work phase.
   std::shared_ptr<const CycleSnapshot> published_;
-  /// Channel mode: the current cycle's frame sequence, published alongside
-  /// the snapshot under the same barrier discipline. Clients transmit it
-  /// through their own fault links (disjoint LossyChannel per-client state).
-  std::shared_ptr<const std::vector<Frame>> published_frames_;
+  /// Channel mode: the current cycle's frame sequence, re-encoded in place
+  /// alongside the snapshot under the same barrier discipline (written only
+  /// between the two barriers, read by client threads only during the work
+  /// phase). Clients transmit it through their own fault links (disjoint
+  /// LossyChannel per-client state).
+  std::vector<Frame> frames_;
   std::optional<FrameCodec> frame_codec_;  // channel mode
   std::unique_ptr<LossyChannel> channel_;  // channel mode
 

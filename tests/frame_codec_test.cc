@@ -126,7 +126,8 @@ TEST(FrameCodecTest, LongPayloadSegmentsAndReassembles) {
     reassembler.Add(*decoded);
   }
   ASSERT_TRUE(reassembler.complete());
-  const Payload out = reassembler.Take();
+  Payload out;
+  reassembler.Take(&out);
   EXPECT_EQ(out.bits, payload.bits);
   EXPECT_EQ(out.bytes, payload.bytes);
 }
@@ -145,7 +146,8 @@ TEST(FrameCodecTest, NonByteAlignedPayloadRoundTrips) {
     reassembler.Add(*decoded);
   }
   ASSERT_TRUE(reassembler.complete());
-  const Payload out = reassembler.Take();
+  Payload out;
+  reassembler.Take(&out);
   EXPECT_EQ(out.bits, payload.bits);
   EXPECT_EQ(out.bytes, payload.bytes);
 }
@@ -209,7 +211,8 @@ TEST(StreamReassemblerTest, ReorderedAndDuplicatedFramesStillReassemble) {
   r.Add(decoded[1]);
   r.Add(decoded[2]);  // duplicate after completion, ignored
   ASSERT_TRUE(r.complete());
-  const Payload out = r.Take();
+  Payload out;
+  r.Take(&out);
   EXPECT_EQ(out.bits, payload.bits);
   EXPECT_EQ(out.bytes, payload.bytes);
 }

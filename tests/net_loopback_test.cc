@@ -292,6 +292,10 @@ TEST(NetLoopbackTest, TelemetryRunStaysBitIdenticalAndAnswersMetricsReq) {
   EXPECT_NE(live.find("\"node\":\"server\""), std::string::npos) << live;
   EXPECT_NE(live.find("\"enabled\":true"), std::string::npos) << live;
   EXPECT_NE(live.find("\"metrics\":"), std::string::npos) << live;
+  // Cycle and frame-encode spans are microsecond histograms.
+  EXPECT_NE(live.find("\"server.cycle_us\""), std::string::npos) << live;
+  EXPECT_NE(live.find("\"server.encode_us\""), std::string::npos) << live;
+  EXPECT_EQ(live.find("\"server.cycle_ms\""), std::string::npos) << live;
 
   EXPECT_EQ(WaitFor(server_pid), 0) << ReadFile(dir + "/bcc_telemetry_server.log");
   for (uint32_t c = 0; c < kClients; ++c) {
@@ -330,6 +334,7 @@ TEST(NetLoopbackTest, TelemetryRunStaysBitIdenticalAndAnswersMetricsReq) {
     EXPECT_EQ(ExtractU64(report, "digest"), oracle_digest) << report;
     EXPECT_TRUE(ValidateJson(report).ok());
     EXPECT_NE(report.find("\"metrics\":"), std::string::npos) << report;
+    EXPECT_NE(report.find("\"client.ingest_us\""), std::string::npos) << report;
   }
 
   // Snapshot files are strict JSON lines carrying the node identity.

@@ -102,73 +102,5 @@ TEST(StreamingStatsTest, ConfidenceIntervalCoversTrueMean) {
   EXPECT_LT(covered, experiments * 0.99);
 }
 
-TEST(HistogramTest, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-5.0);  // clamps to first bucket
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(15.0);  // clamps to last bucket
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.buckets().front(), 2u);
-  EXPECT_EQ(h.buckets().back(), 2u);
-}
-
-TEST(HistogramTest, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.0), 0.0, 1.5);
-}
-
-TEST(HistogramTest, QuantileOfEmptyIsZero) {
-  Histogram h(0.0, 10.0, 4);
-  EXPECT_EQ(h.Quantile(0.0), 0.0);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_EQ(h.Quantile(1.0), 0.0);
-}
-
-TEST(HistogramTest, QuantileSingleBucketInterpolatesWithinRange) {
-  Histogram h(0.0, 8.0, 1);
-  for (int i = 0; i < 4; ++i) h.Add(3.0);
-  // All mass in the one bucket: every quantile lies within [lo, hi].
-  for (double p : {0.0, 0.25, 0.5, 0.95, 1.0}) {
-    const double q = h.Quantile(p);
-    EXPECT_GE(q, 0.0) << p;
-    EXPECT_LE(q, 8.0) << p;
-  }
-  EXPECT_LE(h.Quantile(0.1), h.Quantile(0.9));
-}
-
-TEST(HistogramTest, QuantileExtremesOfClampedValues) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-100.0);  // clamped into the first bucket
-  h.Add(100.0);   // clamped into the last bucket
-  EXPECT_GE(h.Quantile(0.0), 0.0);
-  EXPECT_LE(h.Quantile(1.0), 10.0);
-  EXPECT_LE(h.Quantile(0.0), h.Quantile(1.0));
-}
-
-TEST(HistogramTest, QuantileIsMonotoneInP) {
-  Histogram h(0.0, 50.0, 25);
-  Rng rng(17);
-  for (int i = 0; i < 500; ++i) h.Add(rng.NextExponential(12.0));
-  double prev = h.Quantile(0.0);
-  for (double p = 0.05; p <= 1.0; p += 0.05) {
-    const double q = h.Quantile(p);
-    EXPECT_GE(q, prev) << "p=" << p;
-    prev = q;
-  }
-}
-
-TEST(HistogramTest, AsciiRenderingNonEmpty) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(0.1);
-  h.Add(0.1);
-  h.Add(0.9);
-  const std::string art = h.ToAscii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace bcc
