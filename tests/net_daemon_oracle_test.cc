@@ -76,7 +76,8 @@ Oracle RunOracle(const SimConfig& sim) {
 /// daemon's uplink endpoint is known, before the client says HELLO.
 void RunSession(const SimConfig& sim, const std::string& tag, ServerReport* server_report,
                 ClientReport* client_report,
-                const std::function<void(const std::string&)>& before_clients = {}) {
+                const std::function<void(const std::string&)>& before_clients = {},
+                bool server_metrics = false) {
   const std::string endpoint_file = ::testing::TempDir() + "/bcc_" + tag + ".ep";
   ::unlink(endpoint_file.c_str());
   NetConfig server_net;
@@ -85,6 +86,7 @@ void RunSession(const SimConfig& sim, const std::string& tag, ServerReport* serv
   server_net.expected_clients = 1;
   server_net.pace_cycles_per_sec = 100;
   server_net.max_wall_ms = 60000;
+  server_net.metrics = server_metrics;
   Status server_status = Status::OK();
   std::thread server([&] { server_status = RunServerDaemon(server_net, sim, server_report); });
 
@@ -129,6 +131,33 @@ TEST(NetDaemonOracleTest, BoundaryCommitsMatchTheDesOracle) {
     EXPECT_EQ(server_report.server_commits, oracle.server_commits);
     EXPECT_EQ(server_report.digest, oracle.digest);
     EXPECT_EQ(client_report.digest, oracle.digest);
+  }
+}
+
+// The daemon's control plane in sparse representation, with full-matrix and
+// snapshot+delta control: the on-air bytes and the end state are
+// representation-independent, so the daemon's and the client's digests must
+// equal the dense DES oracle's. Telemetry is on so the sparse-only matrix
+// gauges run too.
+TEST(NetDaemonOracleTest, SparseDaemonMatchesTheDenseOracle) {
+  for (const bool delta : {false, true}) {
+    SCOPED_TRACE(delta ? "delta control" : "full control");
+    SimConfig sim = NetSim();
+    sim.delta_broadcast = delta;
+    sim.delta_refresh_period = 5;
+    const Oracle oracle = RunOracle(sim);
+    ASSERT_GT(oracle.server_commits, 0u);
+
+    SimConfig sparse = sim;
+    sparse.matrix_mode = MatrixMode::kSparse;
+    ServerReport server_report;
+    ClientReport client_report;
+    RunSession(sparse, delta ? "sparse_delta" : "sparse_full", &server_report, &client_report,
+               {}, /*server_metrics=*/true);
+    EXPECT_EQ(server_report.server_commits, oracle.server_commits);
+    EXPECT_EQ(server_report.digest, oracle.digest);
+    EXPECT_EQ(client_report.digest, oracle.digest);
+    EXPECT_NE(server_report.metrics_json.find("\"matrix.nnz\""), std::string::npos);
   }
 }
 
