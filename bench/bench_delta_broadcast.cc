@@ -7,11 +7,11 @@
 // if any cycle's delta control costs more than the full matrix — that
 // inequality is an invariant of the refresh policy, not a tuning goal.
 //
-// Section "commit_cost": per-commit cost of the dirty-column bookkeeping at
-// constant write-set size as the database grows. The tracking overhead
-// (tracked minus base ApplyCommit) stays flat in n — the dirty list appends
-// O(|WS|) column ids per commit — while the per-cycle diff drops from the
-// O(n^2) full rescan to the O(n * touched) column scan.
+// Section "commit_cost": per-commit ApplyCommit cost and the per-cycle diff
+// cost at constant write-set size as the database grows. The delta diff
+// compares two consecutive cycle snapshots and skips every column whose page
+// they share, so it costs O(n) pointer compares plus O(n * changed columns)
+// instead of the O(n^2) full rescan.
 //
 // Flags (parsed here; bench_common's ParseFlags rejects --smoke):
 //   --smoke      tiny run for CI build sanity
@@ -82,7 +82,7 @@ bool RunCyclesSection(const Flags& flags) {
     config.server_txn_interval = interval;
     config.seed = flags.seed;
     ServerWorkload workload(config, Rng(flags.seed));
-    ServerTxnManager manager(n, {.track_dirty_columns = true});
+    ServerTxnManager manager(n);
     DeltaBroadcaster broadcaster(n, CycleStampCodec(ts), refresh_period);
 
     uint64_t total_delta = 0, total_full = 0;
@@ -95,8 +95,7 @@ bool RunCyclesSection(const Flags& flags) {
         ++commits;
         next_commit += workload.NextInterval();
       }
-      const DeltaControl ctl =
-          broadcaster.BuildControl(manager.f_matrix(), manager.TakeTouchedColumns(), cycle);
+      const DeltaControl ctl = broadcaster.BuildControl(manager.SnapshotControl(), cycle);
       total_delta += ctl.control_bits;
       total_full += ctl.full_bits;
       if (ctl.control_bits > ctl.full_bits) {
@@ -131,24 +130,25 @@ bool RunCyclesSection(const Flags& flags) {
   return ok;
 }
 
-/// Section "commit_cost": ApplyCommit with and without dirty tracking, plus
-/// the per-cycle diff, across database sizes at a constant write-set size.
+/// Section "commit_cost": ApplyCommit, plus the per-cycle snapshot-pair diff
+/// against the full rescan, across database sizes at a constant write-set
+/// size.
 void RunCommitCostSection(const Flags& flags) {
   const unsigned ts = 8;
   const uint32_t ws_size = 4, rs_size = 4;
   const uint64_t commits = flags.smoke ? 500 : 20000;
+  const uint64_t commits_per_cycle = 8;
   const CycleStampCodec codec(ts);
   const std::vector<uint32_t> sizes =
       flags.smoke ? std::vector<uint32_t>{64, 256} : std::vector<uint32_t>{64, 128, 256, 512, 1024};
 
-  std::printf(
-      "\n== commit_cost: per-commit dirty tracking and per-cycle diff (ws=%u, %llu commits)\n",
-      ws_size, static_cast<unsigned long long>(commits));
-  std::printf("%6s %14s %14s %14s %16s %16s\n", "n", "base_ns/commit", "trk_ns/commit",
-              "overhead_ns", "diffcols_ns/cyc", "fullscan_ns/cyc");
+  std::printf("\n== commit_cost: per-commit maintenance and per-cycle diff (ws=%u, %llu commits, "
+              "%llu commits/cycle)\n",
+              ws_size, static_cast<unsigned long long>(commits),
+              static_cast<unsigned long long>(commits_per_cycle));
+  std::printf("%6s %14s %16s %16s\n", "n", "commit_ns", "pairdiff_ns/cyc", "fullscan_ns/cyc");
 
   for (const uint32_t n : sizes) {
-    // Pre-roll identical op sequences so both timed loops do the same work.
     Rng rng(flags.seed + n);
     std::vector<std::vector<ObjectId>> reads(commits), writes(commits);
     for (uint64_t t = 0; t < commits; ++t) {
@@ -160,42 +160,33 @@ void RunCommitCostSection(const Flags& flags) {
     auto t0 = std::chrono::steady_clock::now();
     for (uint64_t t = 0; t < commits; ++t) base.ApplyCommit(reads[t], writes[t], t + 1);
     auto t1 = std::chrono::steady_clock::now();
-    const double base_ns = NsPerOp(t0, t1, commits);
+    const double commit_ns = NsPerOp(t0, t1, commits);
 
-    FMatrix tracked(n);
-    tracked.EnableDirtyTracking();
+    // One cycle's worth of commits between two snapshots; the previous one
+    // stays held, as the broadcaster holds its diff base.
+    FMatrix cur = base;
+    const ControlSnapshot prev_snap = cur.Snapshot();
+    for (uint64_t t = 0; t < commits_per_cycle; ++t) {
+      cur.ApplyCommit(reads[t], writes[t], commits + t + 1);
+    }
+    const ControlSnapshot cur_snap = cur.Snapshot();
+    const uint64_t reps = flags.smoke ? 50 : 2000;
     size_t sink = 0;
     t0 = std::chrono::steady_clock::now();
-    for (uint64_t t = 0; t < commits; ++t) {
-      tracked.ApplyCommit(reads[t], writes[t], t + 1);
-      if ((t & 7) == 7) sink += tracked.TakeTouchedColumns().size();  // drain once per "cycle"
+    for (uint64_t r = 0; r < reps; ++r) {
+      sink += DeltaCodec::DiffColumns(prev_snap, cur_snap, codec).size();
     }
     t1 = std::chrono::steady_clock::now();
-    const double tracked_ns = NsPerOp(t0, t1, commits);
-
-    // Per-cycle diff: one cycle's worth of commits (8) between snapshots.
-    FMatrix prev = base;
-    FMatrix cur = base;
-    cur.EnableDirtyTracking();
-    for (uint64_t t = 0; t < 8; ++t) cur.ApplyCommit(reads[t], writes[t], commits + t + 1);
-    const std::vector<ObjectId> touched = cur.TakeTouchedColumns();
-    const uint64_t reps = flags.smoke ? 50 : 2000;
+    const double pairdiff_ns = NsPerOp(t0, t1, reps);
     t0 = std::chrono::steady_clock::now();
-    for (uint64_t r = 0; r < reps; ++r)
-      sink += DeltaCodec::DiffColumns(prev, cur, touched, codec).size();
-    t1 = std::chrono::steady_clock::now();
-    const double diffcols_ns = NsPerOp(t0, t1, reps);
-    t0 = std::chrono::steady_clock::now();
-    for (uint64_t r = 0; r < reps; ++r) sink += DeltaCodec::Diff(prev, cur, codec).size();
+    for (uint64_t r = 0; r < reps; ++r) sink += DeltaCodec::Diff(base, cur, codec).size();
     t1 = std::chrono::steady_clock::now();
     const double fullscan_ns = NsPerOp(t0, t1, reps);
 
     if (flags.csv) {
-      std::printf("csv,commit_cost,%u,%.1f,%.1f,%.1f,%.1f,%.1f\n", n, base_ns, tracked_ns,
-                  tracked_ns - base_ns, diffcols_ns, fullscan_ns);
+      std::printf("csv,commit_cost,%u,%.1f,%.1f,%.1f\n", n, commit_ns, pairdiff_ns, fullscan_ns);
     } else {
-      std::printf("%6u %14.1f %14.1f %14.1f %16.1f %16.1f\n", n, base_ns, tracked_ns,
-                  tracked_ns - base_ns, diffcols_ns, fullscan_ns);
+      std::printf("%6u %14.1f %16.1f %16.1f\n", n, commit_ns, pairdiff_ns, fullscan_ns);
     }
     if (sink == 0) std::printf("(empty diffs)\n");  // keep the timed calls observable
   }

@@ -308,7 +308,7 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
   // Staging for one object page and one control column, kept across cycles.
   thread_local Payload page;
   thread_local Payload column;
-  thread_local std::vector<Cycle> sparse_col;
+  thread_local std::vector<Cycle> column_scratch;  // a sparse column, materialized
 
   const auto emit = [&](FrameKind kind, uint32_t stream_id, const Payload& payload) {
     codec.EncodeStreamInto(kind, stream_id, snap.cycle, payload, out, used);
@@ -326,13 +326,8 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
     // Snapshot+delta mode: the control segment rides in one block right
     // after the index.
     if (snap.delta->full_refresh) {
-      // Sparse snapshots pack byte-identically to dense ones (the on-air
-      // format stays dense), so downstream frames and seeded loss patterns
-      // do not depend on the server's representation.
       emit(FrameKind::kControlRefresh, 0,
-           Payload{snap.sparse_f_matrix != nullptr ? PackMatrix(*snap.sparse_f_matrix, sc)
-                                                   : PackMatrix(snap.f_matrix, sc),
-                   FullMatrixControlBits(n, sc.bits())});
+           Payload{PackMatrix(snap.f_matrix, sc), FullMatrixControlBits(n, sc.bits())});
     } else {
       emit(FrameKind::kControlDelta, 0,
            Payload{DeltaCodec::Pack(snap.delta->entries, n, sc),
@@ -351,12 +346,7 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
   for (uint32_t j = 0; j < n; ++j) {
     EncodeObjectPayloadInto(snap.values[j], object_size_bits, &page);
     emit(FrameKind::kData, j, page);
-    if (snap.sparse_f_matrix != nullptr) {
-      snap.sparse_f_matrix->MaterializeColumn(j, sparse_col);
-      PackStampsInto(sparse_col, sc, &column.bytes);
-    } else {
-      PackStampsInto(snap.f_matrix.Column(j), sc, &column.bytes);
-    }
+    PackStampsInto(snap.f_matrix.Column(j, column_scratch), sc, &column.bytes);
     column.bits = static_cast<uint64_t>(n) * sc.bits();
     emit(FrameKind::kControlColumn, j, column);
   }

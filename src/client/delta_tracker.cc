@@ -1,34 +1,11 @@
 #include "client/delta_tracker.h"
 
-#include <cassert>
-#include <type_traits>
-
 namespace bcc {
 
-DeltaMatrixTracker::DeltaMatrixTracker(uint32_t num_objects, CycleStampCodec codec, bool sparse)
-    : codec_(codec),
-      sparse_(sparse),
-      matrix_(sparse ? 0 : num_objects),
-      sparse_matrix_(sparse ? num_objects : 0) {}
+DeltaMatrixTracker::DeltaMatrixTracker(uint32_t num_objects, CycleStampCodec codec)
+    : codec_(codec), matrix_(ControlSnapshot::Zero(num_objects)) {}
 
-namespace {
-
-void CopyMatrix(FMatrix& dst, const FMatrix& src) { dst = src; }
-
-void CopyMatrix(FMatrix& dst, const FMatrixSnapshot& src) {
-  const uint32_t n = src.num_objects();
-  for (ObjectId j = 0; j < n; ++j) {
-    const std::span<const Cycle> col = src.Column(j);
-    for (ObjectId i = 0; i < n; ++i) dst.Set(i, j, col[i]);
-  }
-}
-
-}  // namespace
-
-template <typename OnAirMatrix>
-void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix& on_air_matrix) {
-  constexpr bool kSparseOnAir = std::is_same_v<OnAirMatrix, SparseFMatrix>;
-  assert(kSparseOnAir == sparse_ && "Observe overload must match the tracker's representation");
+void DeltaMatrixTracker::Observe(const DeltaControl& ctl, const ControlSnapshot& on_air_matrix) {
   if (ctl.full_refresh) {
     // A refresh OLDER than the sync point would regress entries below their
     // current values — and lower stamps can only ever accept more reads, so
@@ -36,11 +13,7 @@ void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix&
     // reconstruction is strictly fresher.
     if (synced_ && ctl.cycle < last_sync_) return;
     if (!synced_) EmitSyncEvent(TraceEventType::kResync, ctl.cycle);
-    if constexpr (kSparseOnAir) {
-      sparse_matrix_ = on_air_matrix;  // O(n) shared-pointer adoption
-    } else {
-      CopyMatrix(matrix_, on_air_matrix);
-    }
+    matrix_ = on_air_matrix;  // O(1): the on-air snapshot is shared
     synced_ = true;
     last_sync_ = ctl.cycle;
     return;
@@ -58,24 +31,8 @@ void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix&
     synced_ = false;
     return;
   }
-  if constexpr (kSparseOnAir) {
-    DeltaCodec::Apply(&sparse_matrix_, ctl.entries, codec_, ctl.cycle);
-  } else {
-    DeltaCodec::Apply(&matrix_, ctl.entries, codec_, ctl.cycle);
-  }
+  matrix_ = DeltaCodec::Apply(matrix_, ctl.entries, codec_, ctl.cycle);
   last_sync_ = ctl.cycle;
-}
-
-void DeltaMatrixTracker::Observe(const DeltaControl& ctl, const FMatrix& on_air_matrix) {
-  ObserveImpl(ctl, on_air_matrix);
-}
-
-void DeltaMatrixTracker::Observe(const DeltaControl& ctl, const FMatrixSnapshot& on_air_matrix) {
-  ObserveImpl(ctl, on_air_matrix);
-}
-
-void DeltaMatrixTracker::Observe(const DeltaControl& ctl, const SparseFMatrix& on_air_matrix) {
-  ObserveImpl(ctl, on_air_matrix);
 }
 
 }  // namespace bcc

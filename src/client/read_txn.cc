@@ -4,7 +4,6 @@
 
 #include "client/cache.h"
 #include "common/format.h"
-#include "matrix/kernels.h"
 #include "matrix/mc_vector.h"
 
 namespace bcc {
@@ -14,8 +13,11 @@ ReadOnlyTxnProtocol::ReadOnlyTxnProtocol(Algorithm algorithm,
     : algorithm_(algorithm), codec_(codec) {}
 
 Cycle ReadOnlyTxnProtocol::Stamp(Cycle raw, Cycle current) const {
-  if (!codec_.has_value()) return raw;
-  return codec_->Decode(codec_->Encode(raw), current);
+  return WireStamp(raw, codec_.has_value() ? &*codec_ : nullptr, current);
+}
+
+const ControlMatrix& ReadOnlyTxnProtocol::Control(const CycleSnapshot& snap) const {
+  return control_override_ != nullptr ? *control_override_ : snap.f_matrix;
 }
 
 bool ReadOnlyTxnProtocol::CheckFMatrix(const CycleSnapshot& snap, ObjectId ob) {
@@ -33,51 +35,15 @@ bool ReadOnlyTxnProtocol::CheckFMatrix(const CycleSnapshot& snap, ObjectId ob) {
     return true;
   }
   // read-condition(ob_j): for all (ob_i, cycle) in R_t : C(i, j) < cycle.
-  // Sparse representations answer the same condition in O(reads * log nnz)
-  // instead of touching a dense column; decisions and AbortInfo are
-  // bit-identical (SparseFMatrix::At is exact).
-  const SparseFMatrix* sparse = sparse_control_override_ != nullptr
-                                    ? sparse_control_override_
-                                    : snap.sparse_f_matrix.get();
-  if (sparse != nullptr && control_override_ == nullptr) {
-    if (!codec_.has_value()) {
-      const size_t fail = sparse->ReadConditionScan(reads_, ob);
-      if (fail == kReadConditionPass) return true;
-      const ReadRecord& r = reads_[fail];
-      last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle,
-                     sparse->At(r.object, ob)};
-      return false;
-    }
-    for (const ReadRecord& r : reads_) {
-      const Cycle c = Stamp(sparse->At(r.object, ob), snap.cycle);
-      if (c >= r.cycle) {
-        last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle, c};
-        return false;
-      }
-    }
-    return true;
-  }
-  // The column base is hoisted out of the per-read loop (it used to be
-  // re-derived from (r.object, ob) on every read record).
-  const std::span<const Cycle> col =
-      control_override_ != nullptr ? control_override_->Column(ob) : snap.f_matrix.Column(ob);
-  if (!codec_.has_value()) {
-    // No wire round trip: the raw scan early-exits at the first failing
-    // read, exactly like the loop below.
-    const size_t fail = KernelReadConditionScan(col.data(), reads_.data(), reads_.size());
-    if (fail == kReadConditionPass) return true;
-    const ReadRecord& r = reads_[fail];
-    last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle, col[r.object]};
-    return false;
-  }
-  for (const ReadRecord& r : reads_) {
-    const Cycle c = Stamp(col[r.object], snap.cycle);
-    if (c >= r.cycle) {
-      last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle, c};
-      return false;
-    }
-  }
-  return true;
+  // One scan of column j, early-exiting at the first failing read.
+  const ControlMatrix& control = Control(snap);
+  const CycleStampCodec* codec = codec_.has_value() ? &*codec_ : nullptr;
+  const size_t fail = control.ReadConditionScan(reads_, ob, codec, snap.cycle);
+  if (fail == kReadConditionPass) return true;
+  const ReadRecord& r = reads_[fail];
+  last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle,
+                 Stamp(control.At(r.object, ob), snap.cycle)};
+  return false;
 }
 
 bool ReadOnlyTxnProtocol::CheckDatacycle(const CycleSnapshot& snap, ObjectId ob) {
@@ -135,24 +101,11 @@ StatusOr<ObjectVersion> ReadOnlyTxnProtocol::Read(const CycleSnapshot& snap, Obj
   const bool f_family =
       algorithm_ == Algorithm::kFMatrix || algorithm_ == Algorithm::kFMatrixNo;
   if (capture_columns_ && f_family && !snap.group_matrix.has_value()) {
-    const SparseFMatrix* sparse = sparse_control_override_ != nullptr
-                                      ? sparse_control_override_
-                                      : snap.sparse_f_matrix.get();
-    if (sparse != nullptr && control_override_ == nullptr) {
-      if (sparse->num_objects() > 0) {
-        sparse->MaterializeColumn(ob, column);
-        for (Cycle& c : column) c = Stamp(c, snap.cycle);
-      }
-    } else {
-      const uint32_t fm_n = control_override_ != nullptr ? control_override_->num_objects()
-                                                         : snap.f_matrix.num_objects();
-      if (fm_n > 0) {
-        const std::span<const Cycle> raw = control_override_ != nullptr
-                                               ? control_override_->Column(ob)
-                                               : snap.f_matrix.Column(ob);
-        column.reserve(raw.size());
-        for (Cycle c : raw) column.push_back(Stamp(c, snap.cycle));
-      }
+    const ControlMatrix& control = Control(snap);
+    if (control.num_objects() > 0) {
+      const std::span<const Cycle> raw = control.Column(ob, column_scratch_);
+      column.reserve(raw.size());
+      for (Cycle c : raw) column.push_back(Stamp(c, snap.cycle));
     }
   }
   Record(ob, snap.cycle, version, std::move(column));

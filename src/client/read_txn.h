@@ -70,24 +70,15 @@ class ReadOnlyTxnProtocol {
   /// Substitutes `matrix` for the snapshot's f_matrix in every F-family
   /// check and column capture (nullptr restores the broadcast matrix). Used
   /// in snapshot+delta mode, where the client validates against its locally
-  /// reconstructed matrix instead of an on-air full matrix. The caller owns
-  /// the matrix and must keep it in sync with the snapshot being read.
-  /// Decisions stay bit-identical to full-mode validation as long as the
-  /// reconstruction is congruent to the server matrix mod 2^ts: Stamp()
-  /// re-round-trips every entry through the codec, and Decode(Encode(x), c)
-  /// depends on x only through x mod 2^ts.
-  void set_control_override(const FMatrix* matrix) { control_override_ = matrix; }
-  const FMatrix* control_override() const { return control_override_; }
-
-  /// Sparse-representation variant of set_control_override: validates and
-  /// captures columns from `matrix` instead of the snapshot. Used in sparse
-  /// snapshot+delta mode, where the tracker reconstructs a SparseFMatrix.
-  /// Takes precedence over a dense override when both are set (they are
-  /// never both set by the sims). Same congruence argument applies.
-  void set_sparse_control_override(const SparseFMatrix* matrix) {
-    sparse_control_override_ = matrix;
-  }
-  const SparseFMatrix* sparse_control_override() const { return sparse_control_override_; }
+  /// reconstructed matrix, and in channel mode, where it validates against
+  /// the columns its receiver decoded. The caller owns the matrix and must
+  /// keep it in sync with the snapshot being read. Decisions stay
+  /// bit-identical to full-mode validation as long as the reconstruction is
+  /// congruent to the server matrix mod 2^ts: Stamp() re-round-trips every
+  /// entry through the codec, and Decode(Encode(x), c) depends on x only
+  /// through x mod 2^ts.
+  void set_control_override(const ControlMatrix* matrix) { control_override_ = matrix; }
+  const ControlMatrix* control_override() const { return control_override_; }
 
   /// Gates the per-read capture of the full consulted control column
   /// (F-family, ungrouped). The capture is O(n) per read and exists solely
@@ -123,6 +114,8 @@ class ReadOnlyTxnProtocol {
  private:
   /// Control-entry view with optional wire-codec round trip.
   Cycle Stamp(Cycle raw, Cycle current) const;
+  /// The control matrix F-family reads validate against.
+  const ControlMatrix& Control(const CycleSnapshot& snap) const;
 
   bool CheckFMatrix(const CycleSnapshot& snap, ObjectId ob);
   bool CheckRMatrix(const CycleSnapshot& snap, ObjectId ob);
@@ -133,8 +126,7 @@ class ReadOnlyTxnProtocol {
 
   Algorithm algorithm_;
   std::optional<CycleStampCodec> codec_;
-  const FMatrix* control_override_ = nullptr;
-  const SparseFMatrix* sparse_control_override_ = nullptr;
+  const ControlMatrix* control_override_ = nullptr;
   const std::vector<ObjectVersion>* value_override_ = nullptr;
   bool capture_columns_ = true;
   std::vector<ReadRecord> reads_;
@@ -142,6 +134,7 @@ class ReadOnlyTxnProtocol {
   /// Per read: the control column consulted (F-family, ungrouped only;
   /// empty otherwise). Needed to validate later *stale* cached reads.
   std::vector<std::vector<Cycle>> columns_;
+  std::vector<Cycle> column_scratch_;  // a sparse column, materialized
   Cycle first_read_cycle_ = 0;
   AbortInfo last_abort_;
 };

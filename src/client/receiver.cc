@@ -149,7 +149,7 @@ bool ChannelReceiver::ObserveControl(Cycle cycle, bool refresh, const Payload& p
     const StatusOr<FMatrix> on_air =
         UnpackMatrix(payload.bytes, n_, codec_.stamp_codec(), cycle);
     if (!on_air.ok()) return false;
-    tracker_->Observe(ctl, *on_air);
+    tracker_->Observe(ctl, on_air->Snapshot());
     return true;
   }
   ctl.base_cycle = cycle - 1;
@@ -157,7 +157,7 @@ bool ChannelReceiver::ObserveControl(Cycle cycle, bool refresh, const Payload& p
       DeltaCodec::Unpack(payload.bytes, n_, codec_.stamp_codec());
   if (!entries.ok()) return false;
   ctl.entries = *std::move(entries);
-  tracker_->Observe(ctl, matrix_);  // matrix_ unused for a non-refresh block
+  tracker_->Observe(ctl, {});  // no matrix rides with a delta block
   return true;
 }
 

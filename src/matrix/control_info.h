@@ -4,6 +4,7 @@
 #ifndef BCC_MATRIX_CONTROL_INFO_H_
 #define BCC_MATRIX_CONTROL_INFO_H_
 
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
@@ -22,6 +23,9 @@ struct ReadRecord {
     return a.object == b.object && a.cycle == b.cycle;
   }
 };
+
+/// Returned by read-condition scans when every read passes.
+inline constexpr size_t kReadConditionPass = static_cast<size_t>(-1);
 
 /// The concurrency-control algorithms compared in Section 4.
 enum class Algorithm {

@@ -21,9 +21,25 @@ std::string_view AlgorithmName(Algorithm a) {
   return "?";
 }
 
-bool FMatrixSnapshot::ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const {
-  return KernelReadConditionScan(cols_[j]->data(), reads.data(), reads.size()) ==
-         kReadConditionPass;
+namespace {
+
+/// The read-condition scan over one contiguous dense column. Without a codec
+/// it is the vectorized kernel; with one, each stamp takes the wire round
+/// trip first, so decisions match a client decoding the broadcast.
+size_t ScanDenseColumn(const Cycle* col, std::span<const ReadRecord> reads,
+                       const CycleStampCodec* codec, Cycle current) {
+  if (codec == nullptr) return KernelReadConditionScan(col, reads.data(), reads.size());
+  for (size_t k = 0; k < reads.size(); ++k) {
+    if (WireStamp(col[reads[k].object], codec, current) >= reads[k].cycle) return k;
+  }
+  return kReadConditionPass;
+}
+
+}  // namespace
+
+size_t FMatrixSnapshot::ScanReads(std::span<const ReadRecord> reads, ObjectId j,
+                                  const CycleStampCodec* codec, Cycle current) const {
+  return ScanDenseColumn(cols_[j]->data(), reads, codec, current);
 }
 
 FMatrix FMatrixSnapshot::Materialize() const {
@@ -32,25 +48,6 @@ FMatrix FMatrixSnapshot::Materialize() const {
     for (ObjectId i = 0; i < n_; ++i) m.Set(i, j, (*cols_[j])[i]);
   }
   return m;
-}
-
-bool operator==(const FMatrixSnapshot& a, const FMatrixSnapshot& b) {
-  if (a.n_ != b.n_) return false;
-  for (ObjectId j = 0; j < a.n_; ++j) {
-    if (a.cols_[j] == b.cols_[j]) continue;  // shared page: trivially equal
-    if (*a.cols_[j] != *b.cols_[j]) return false;
-  }
-  return true;
-}
-
-bool operator==(const FMatrixSnapshot& s, const FMatrix& m) {
-  if (s.num_objects() != m.num_objects()) return false;
-  for (ObjectId j = 0; j < s.num_objects(); ++j) {
-    const std::span<const Cycle> a = s.Column(j);
-    const std::span<const Cycle> b = m.Column(j);
-    if (!std::equal(a.begin(), a.end(), b.begin())) return false;
-  }
-  return true;
 }
 
 FMatrix::FMatrix(uint32_t num_objects) : n_(num_objects) {
@@ -92,15 +89,6 @@ void FMatrix::ApplyCommit(std::span<const ObjectId> read_set,
     ++col_version_[j];
   }
   for (ObjectId w : write_set) ws_scratch_[w] = 0;
-
-  if (track_dirty_) {
-    for (ObjectId j : write_set) {
-      if (!touched_mask_[j]) {
-        touched_mask_[j] = 1;
-        touched_cols_.push_back(j);
-      }
-    }
-  }
 }
 
 void FMatrix::AnalyzeBatch(std::span<const CommitSets> commits, Cycle commit_cycle) {
@@ -108,9 +96,8 @@ void FMatrix::AnalyzeBatch(std::span<const CommitSets> commits, Cycle commit_cyc
 
   // Pass 1 — analysis, O(n + sum(|RS| + |WS|)). Resolve each read to its
   // source (the pre-batch matrix column, or the virtual column of the last
-  // earlier in-batch writer), build the union write set in first-touch order
-  // (matching the sequential dirty-tracking order exactly), and find the
-  // final writer of every union column.
+  // earlier in-batch writer), build the union write set, and find the final
+  // writer of every union column.
   batch_writer_.assign(n_, -1);
   if (batch_union_mask_.size() != n_) batch_union_mask_.assign(n_, 0);
   batch_union_cols_.clear();
@@ -194,18 +181,6 @@ void FMatrix::AnalyzeBatch(std::span<const CommitSets> commits, Cycle commit_cyc
   }
 }
 
-void FMatrix::FinishBatch() {
-  if (track_dirty_) {
-    for (ObjectId j : batch_union_cols_) {
-      if (!touched_mask_[j]) {
-        touched_mask_[j] = 1;
-        touched_cols_.push_back(j);
-      }
-    }
-  }
-  for (ObjectId j : batch_union_cols_) batch_union_mask_[j] = 0;
-}
-
 void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit_cycle) {
   const size_t m = commits.size();
   if (m == 0) return;
@@ -241,7 +216,7 @@ void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit
     for (ObjectId w : cs.write_set) ws_scratch_[w] = 0;
   }
 
-  FinishBatch();
+  for (ObjectId j : batch_union_cols_) batch_union_mask_[j] = 0;
 }
 
 void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit_cycle,
@@ -285,7 +260,7 @@ void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit
     }
   });
 
-  FinishBatch();
+  for (ObjectId j : batch_union_cols_) batch_union_mask_[j] = 0;
 }
 
 FMatrixSnapshot FMatrix::Snapshot() const {
@@ -301,6 +276,8 @@ FMatrixSnapshot FMatrix::Snapshot() const {
     if (!page || snapshot_cache_version_[j] != col_version_[j]) {
       if (page && page.use_count() == 1) {
         // Only the cache still references the old page: overwrite in place.
+        // (Hence a snapshot's page identity implies unchanged content only
+        // while some snapshot holding the page is alive.)
         KernelColumnCopy(page->data(), ColumnPtr(j), n_);
       } else {
         page = std::make_shared<std::vector<Cycle>>(Column(j).begin(), Column(j).end());
@@ -313,28 +290,9 @@ FMatrixSnapshot FMatrix::Snapshot() const {
   return s;
 }
 
-void FMatrix::EnableDirtyTracking() {
-  if (track_dirty_) return;
-  track_dirty_ = true;
-  touched_mask_.assign(n_, 0);
-}
-
-std::vector<ObjectId> FMatrix::TakeTouchedColumns() {
-  std::vector<ObjectId> out;
-  DrainTouchedColumns(out);
-  return out;
-}
-
-void FMatrix::DrainTouchedColumns(std::vector<ObjectId>& out) {
-  assert(track_dirty_);
-  out.clear();
-  out.swap(touched_cols_);  // tracker keeps out's old capacity for next cycle
-  for (ObjectId j : out) touched_mask_[j] = 0;
-}
-
-bool FMatrix::ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const {
-  return KernelReadConditionScan(ColumnPtr(j), reads.data(), reads.size()) ==
-         kReadConditionPass;
+size_t FMatrix::ScanReads(std::span<const ReadRecord> reads, ObjectId j,
+                          const CycleStampCodec* codec, Cycle current) const {
+  return ScanDenseColumn(ColumnPtr(j), reads, codec, current);
 }
 
 FMatrix FMatrixFromDefinition(const History& history,

@@ -24,6 +24,7 @@
 #include "history/history.h"
 #include "history/object_id.h"
 #include "matrix/control_info.h"
+#include "matrix/control_matrix.h"
 
 namespace bcc {
 
@@ -36,40 +37,38 @@ class FMatrix;
 /// snapshot cost is O(n * touched_columns) instead of the O(n^2) full-matrix
 /// copy. A snapshot stays valid — and bit-identical to the matrix state it
 /// captured — for as long as it is held, regardless of later commits.
-class FMatrixSnapshot {
+class FMatrixSnapshot final : public ControlMatrix {
  public:
-  /// Empty snapshot (num_objects() == 0); what a cycle snapshot holds when
-  /// the server does not maintain an F-Matrix.
-  FMatrixSnapshot() = default;
+  using Page = std::shared_ptr<const std::vector<Cycle>>;
 
-  uint32_t num_objects() const { return n_; }
+  uint32_t num_objects() const override { return n_; }
 
   /// C(i, j) at snapshot time.
-  Cycle At(ObjectId i, ObjectId j) const { return (*cols_[j])[i]; }
+  Cycle At(ObjectId i, ObjectId j) const override { return (*cols_[j])[i]; }
 
   /// Column j as a contiguous span of n entries (C(0..n-1, j)).
   std::span<const Cycle> Column(ObjectId j) const { return {cols_[j]->data(), n_}; }
+  std::span<const Cycle> Column(ObjectId j, std::vector<Cycle>&) const override {
+    return Column(j);
+  }
 
-  /// The F-Matrix read condition against this snapshot.
-  bool ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const;
+  /// Column j's shared page.
+  const Page& ColumnPage(ObjectId j) const { return cols_[j]; }
+  /// Installs `page` (n entries) as column j, sharing it.
+  void AssignColumn(ObjectId j, Page page) { cols_[j] = std::move(page); }
 
-  /// Deep copy into a standalone FMatrix (used when a client adopts an
-  /// on-air matrix as its local reconstruction base).
+  /// Deep copy into a standalone FMatrix.
   FMatrix Materialize() const;
-
-  /// Value comparison (entry-wise, shared or not).
-  friend bool operator==(const FMatrixSnapshot& a, const FMatrixSnapshot& b);
 
  private:
   friend class FMatrix;
 
-  uint32_t n_ = 0;
-  std::vector<std::shared_ptr<const std::vector<Cycle>>> cols_;
-};
+  size_t ScanReads(std::span<const ReadRecord> reads, ObjectId j, const CycleStampCodec* codec,
+                   Cycle current) const override;
 
-/// Entry-wise comparison between a snapshot and a live matrix (test use).
-bool operator==(const FMatrixSnapshot& s, const FMatrix& m);
-inline bool operator==(const FMatrix& m, const FMatrixSnapshot& s) { return s == m; }
+  uint32_t n_ = 0;
+  std::vector<Page> cols_;
+};
 
 /// The read/write sets of one committed update transaction, as queued for a
 /// cycle-fused FMatrix::ApplyCommitBatch.
@@ -88,15 +87,15 @@ using ShardRunner =
 
 /// The server-side control matrix, column-major (column j is the unit
 /// broadcast right after object j).
-class FMatrix {
+class FMatrix final : public ControlMatrix {
  public:
   /// All entries start at cycle 0 (written by t0 before the broadcast).
   explicit FMatrix(uint32_t num_objects);
 
-  uint32_t num_objects() const { return n_; }
+  uint32_t num_objects() const override { return n_; }
 
   /// C(i, j).
-  Cycle At(ObjectId i, ObjectId j) const { return data_[Index(i, j)]; }
+  Cycle At(ObjectId i, ObjectId j) const override { return data_[Index(i, j)]; }
 
   /// Direct entry assignment; used by from-definition builders and by wire
   /// decoding. Normal maintenance goes through ApplyCommit.
@@ -107,6 +106,9 @@ class FMatrix {
 
   /// Column j as a contiguous span of n entries (C(0..n-1, j)).
   std::span<const Cycle> Column(ObjectId j) const;
+  std::span<const Cycle> Column(ObjectId j, std::vector<Cycle>&) const override {
+    return Column(j);
+  }
 
   /// Applies the next committed transaction in the server's serialization
   /// order (Theorem 2's incremental rules):
@@ -114,8 +116,6 @@ class FMatrix {
   ///   - C(i, j) = max_{k in RS} C(i, k)   for i not in WS, j in WS
   ///                                        (0 when RS is empty)
   ///   - unchanged                          otherwise
-  /// With dirty tracking enabled, the touched columns (= WS) are recorded so
-  /// a delta broadcaster can diff in O(n * touched) instead of O(n^2).
   void ApplyCommit(std::span<const ObjectId> read_set, std::span<const ObjectId> write_set,
                    Cycle commit_cycle);
 
@@ -155,38 +155,14 @@ class FMatrix {
   /// the O(n * touched) claim is asserted against this counter.
   uint64_t snapshot_columns_copied() const { return snapshot_columns_copied_; }
 
-  /// Starts recording the set of columns ApplyCommit rewrites. Tracking is
-  /// column-granular on purpose: recording a column id is O(1) per written
-  /// object, so the per-commit emission cost is O(|WS|) — independent of n —
-  /// while entry-exact filtering is deferred to the once-per-cycle
-  /// DeltaCodec::DiffColumns pass. Direct Set() calls (wire decoding,
-  /// from-definition builders) are NOT tracked; tracking covers the server's
-  /// incremental maintenance path only.
-  void EnableDirtyTracking();
-  bool dirty_tracking_enabled() const { return track_dirty_; }
-
-  /// Columns rewritten by ApplyCommit since construction, EnableDirtyTracking
-  /// or the last TakeTouchedColumns — each column at most once, in first-touch
-  /// order.
-  std::span<const ObjectId> touched_columns() const { return touched_cols_; }
-
-  /// Drains the touched-column set (returns it and resets the tracker).
-  std::vector<ObjectId> TakeTouchedColumns();
-
-  /// Capacity-preserving drain: fills `out` with the touched columns (same
-  /// contents/order as TakeTouchedColumns) and leaves the tracker holding
-  /// `out`'s old — cleared — buffer, so a caller cycling one reusable vector
-  /// never re-allocates on the steady-state path.
-  void DrainTouchedColumns(std::vector<ObjectId>& out);
-
-  /// The F-Matrix read condition for reading ob_j given the reads so far.
-  bool ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const;
-
   friend bool operator==(const FMatrix& a, const FMatrix& b) {
     return a.n_ == b.n_ && a.data_ == b.data_;
   }
 
  private:
+  size_t ScanReads(std::span<const ReadRecord> reads, ObjectId j, const CycleStampCodec* codec,
+                   Cycle current) const override;
+
   size_t Index(ObjectId i, ObjectId j) const { return static_cast<size_t>(j) * n_ + i; }
   Cycle* ColumnPtr(ObjectId j) { return data_.data() + static_cast<size_t>(j) * n_; }
   const Cycle* ColumnPtr(ObjectId j) const { return data_.data() + static_cast<size_t>(j) * n_; }
@@ -194,8 +170,6 @@ class FMatrix {
   /// ApplyCommitBatch passes 1 + 2 (analysis + dependency vectors); after it
   /// returns, pass 3 only consumes batch state and writes disjoint columns.
   void AnalyzeBatch(std::span<const CommitSets> commits, Cycle commit_cycle);
-  /// ApplyCommitBatch epilogue: dirty tracking + union-mask reset.
-  void FinishBatch();
 
   uint32_t n_;
   std::vector<Cycle> data_;
@@ -226,12 +200,6 @@ class FMatrix {
   std::vector<int32_t> batch_dep_idx_;      // commit -> dep_pool_ slot (-1: none)
   std::vector<std::vector<Cycle>> dep_pool_;
   std::vector<std::vector<uint8_t>> shard_ws_scratch_;  // pooled-apply WS masks
-
-  // Dirty-column tracker (EnableDirtyTracking): first-touch-ordered column
-  // ids plus a membership mask so duplicates cost O(1).
-  bool track_dirty_ = false;
-  std::vector<ObjectId> touched_cols_;
-  std::vector<uint8_t> touched_mask_;
 };
 
 /// From-definition construction (used to validate Theorem 2): replays the

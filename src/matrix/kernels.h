@@ -43,9 +43,6 @@ void KernelColumnSelectFill(Cycle* dst, const uint8_t* mask, const Cycle* dep, C
 /// a[i] != b[i], ascending; returns how many were written.
 uint32_t KernelColumnDiffIndices(const Cycle* a, const Cycle* b, uint32_t n, ObjectId* out);
 
-/// Returned by KernelReadConditionScan when every read passes.
-inline constexpr size_t kReadConditionPass = static_cast<size_t>(-1);
-
 /// The read-condition scan against one control column with the column base
 /// pointer hoisted out of the loop: returns the index of the FIRST read
 /// record with column[reads[k].object] >= reads[k].cycle (the early exit —

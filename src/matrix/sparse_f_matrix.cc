@@ -36,13 +36,6 @@ Cycle SparseColumnData::At(ObjectId row) const {
 SparseFMatrix::SparseFMatrix(uint32_t num_objects)
     : n_(num_objects), cols_(num_objects, EmptyColumn()) {}
 
-void SparseFMatrix::MarkTouched(ObjectId j) {
-  if (!track_dirty_) return;
-  if (touched_mask_[j]) return;
-  touched_mask_[j] = 1;
-  touched_cols_.push_back(j);
-}
-
 void SparseFMatrix::Account(ObjectId j, const SparseColumnData& next) {
   const SparseColumnData& cur = *cols_[j];
   nnz_ += next.entries.size();
@@ -60,13 +53,13 @@ void SparseFMatrix::AssignColumn(ObjectId j, std::shared_ptr<const SparseColumnD
   assert(data != nullptr);
   Account(j, *data);
   cols_[j] = std::move(data);
-  MarkTouched(j);
 }
 
-void SparseFMatrix::MaterializeColumn(ObjectId j, std::vector<Cycle>& out) const {
+std::span<const Cycle> SparseFMatrix::Column(ObjectId j, std::vector<Cycle>& scratch) const {
   const SparseColumnData& col = *cols_[j];
-  out.assign(n_, col.floor);
-  for (const SparseColumnData::Entry& e : col.entries) out[e.row] = e.value;
+  scratch.assign(n_, col.floor);
+  for (const SparseColumnData::Entry& e : col.entries) scratch[e.row] = e.value;
+  return scratch;
 }
 
 void SparseFMatrix::ApplyCommit(std::span<const ObjectId> read_set,
@@ -135,8 +128,6 @@ void SparseFMatrix::ApplyCommit(std::span<const ObjectId> read_set,
   while (d < merge_scratch_.size()) next->entries.push_back(merge_scratch_[d++]);
 
   std::shared_ptr<const SparseColumnData> shared = std::move(next);
-  // Original write-set order, so dirty tracking matches FMatrix first-touch
-  // order exactly.
   for (ObjectId j : write_set) AssignColumn(j, shared);
 }
 
@@ -146,10 +137,7 @@ void SparseFMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle 
 
 void SparseFMatrix::SetInColumn(ObjectId j, ObjectId i, Cycle c) {
   const SparseColumnData& cur = *cols_[j];
-  if (cur.At(i) == c) {
-    MarkTouched(j);  // a rewrite with an equal value still counts as touched
-    return;
-  }
+  if (cur.At(i) == c) return;
   auto next = std::make_shared<SparseColumnData>();
   next->floor = cur.floor;
   next->entries.reserve(cur.entries.size() + 1);
@@ -168,34 +156,13 @@ void SparseFMatrix::SetInColumn(ObjectId j, ObjectId i, Cycle c) {
 
 void SparseFMatrix::Set(ObjectId i, ObjectId j, Cycle c) { SetInColumn(j, i, c); }
 
-void SparseFMatrix::EnableDirtyTracking() {
-  track_dirty_ = true;
-  touched_mask_.assign(n_, 0);
-  touched_cols_.clear();
-}
-
-std::vector<ObjectId> SparseFMatrix::TakeTouchedColumns() {
-  std::vector<ObjectId> out;
-  DrainTouchedColumns(out);
-  return out;
-}
-
-void SparseFMatrix::DrainTouchedColumns(std::vector<ObjectId>& out) {
-  out.clear();
-  std::swap(out, touched_cols_);
-  for (ObjectId j : out) touched_mask_[j] = 0;
-}
-
-size_t SparseFMatrix::ReadConditionScan(std::span<const ReadRecord> reads, ObjectId j) const {
+size_t SparseFMatrix::ScanReads(std::span<const ReadRecord> reads, ObjectId j,
+                                const CycleStampCodec* codec, Cycle current) const {
   const SparseColumnData& col = *cols_[j];
   for (size_t k = 0; k < reads.size(); ++k) {
-    if (col.At(reads[k].object) >= reads[k].cycle) return k;
+    if (WireStamp(col.At(reads[k].object), codec, current) >= reads[k].cycle) return k;
   }
   return kReadConditionPass;
-}
-
-bool SparseFMatrix::ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const {
-  return ReadConditionScan(reads, j) == kReadConditionPass;
 }
 
 uint64_t SparseFMatrix::CompactModulo(const CycleStampCodec& codec, Cycle current) {
@@ -227,7 +194,6 @@ uint64_t SparseFMatrix::CompactModulo(const CycleStampCodec& codec, Cycle curren
       dropped += src->entries.size() - it->second->entries.size();
       Account(j, *it->second);
       cols_[j] = it->second;
-      MarkTouched(j);
     }
   }
   return dropped;
@@ -275,53 +241,6 @@ SparseFMatrix SparseFMatrix::FromDense(const FMatrix& dense) {
     sparse.AssignColumn(j, std::move(data));
   }
   return sparse;
-}
-
-bool operator==(const SparseFMatrix& a, const SparseFMatrix& b) {
-  if (a.n_ != b.n_) return false;
-  for (ObjectId j = 0; j < a.n_; ++j) {
-    const SparseColumnData& ca = *a.cols_[j];
-    const SparseColumnData& cb = *b.cols_[j];
-    if (&ca == &cb) continue;
-    // Merge walk over both entry lists; rows implicit in both compare floors.
-    size_t ia = 0, ib = 0;
-    bool both_implicit =
-        ca.entries.size() + cb.entries.size() < a.n_;  // some row implicit in both
-    while (ia < ca.entries.size() || ib < cb.entries.size()) {
-      const bool take_a = ib == cb.entries.size() ||
-                          (ia < ca.entries.size() && ca.entries[ia].row <= cb.entries[ib].row);
-      const bool take_b = ia == ca.entries.size() ||
-                          (ib < cb.entries.size() && cb.entries[ib].row <= ca.entries[ia].row);
-      if (take_a && take_b) {
-        if (ca.entries[ia].value != cb.entries[ib].value) return false;
-        ++ia, ++ib;
-      } else if (take_a) {
-        if (ca.entries[ia].value != cb.floor) return false;
-        ++ia;
-      } else {
-        if (cb.entries[ib].value != ca.floor) return false;
-        ++ib;
-      }
-    }
-    if (both_implicit && ca.floor != cb.floor) return false;
-  }
-  return true;
-}
-
-bool operator==(const SparseFMatrix& s, const FMatrix& d) {
-  if (s.num_objects() != d.num_objects()) return false;
-  const uint32_t n = s.num_objects();
-  for (ObjectId j = 0; j < n; ++j) {
-    const std::span<const Cycle> col = d.Column(j);
-    const SparseColumnData& sc = *s.ColumnData(j);
-    size_t e = 0;
-    for (ObjectId i = 0; i < n; ++i) {
-      Cycle v = sc.floor;
-      if (e < sc.entries.size() && sc.entries[e].row == i) v = sc.entries[e++].value;
-      if (v != col[i]) return false;
-    }
-  }
-  return true;
 }
 
 uint64_t SparseMatrixControlBits(uint64_t nnz, uint32_t nonempty_columns, uint32_t num_objects,

@@ -41,6 +41,7 @@
 #include "common/cycle_stamp.h"
 #include "history/object_id.h"
 #include "matrix/control_info.h"
+#include "matrix/control_matrix.h"
 #include "matrix/f_matrix.h"
 
 namespace bcc {
@@ -65,17 +66,22 @@ struct SparseColumnData {
 
 /// The compressed-sparse-column control matrix. Value-identical to an
 /// FMatrix maintained by the same ApplyCommit stream; all hot operations are
-/// O(nnz of the columns involved), never O(n).
-class SparseFMatrix {
+/// O(nnz of the columns involved), never O(n). A copy is a snapshot: O(n)
+/// shared-pointer copies, every column payload shared.
+class SparseFMatrix final : public ControlMatrix {
  public:
   /// All entries start at cycle 0: every column shares one static empty
   /// ColumnData, so construction is O(n) pointer copies.
   explicit SparseFMatrix(uint32_t num_objects);
 
-  uint32_t num_objects() const { return n_; }
+  uint32_t num_objects() const override { return n_; }
 
   /// C(i, j). O(log nnz(column j)).
-  Cycle At(ObjectId i, ObjectId j) const { return cols_[j]->At(i); }
+  Cycle At(ObjectId i, ObjectId j) const override { return cols_[j]->At(i); }
+
+  /// Materializes column j into `scratch` (resized to n). O(n) — wire
+  /// packing and oracle checks only, never on the commit path.
+  std::span<const Cycle> Column(ObjectId j, std::vector<Cycle>& scratch) const override;
 
   /// Explicit entries in column j / the whole matrix (shared payloads are
   /// counted once per column that references them — the logical footprint).
@@ -88,13 +94,9 @@ class SparseFMatrix {
   const std::shared_ptr<const SparseColumnData>& ColumnData(ObjectId j) const {
     return cols_[j];
   }
-  /// Installs a shared column payload (tracker refresh adoption, delta-base
-  /// folds). Updates nnz accounting and dirty tracking like a rewrite.
+  /// Installs a shared column payload (delta application, FromDense).
+  /// Updates nnz accounting like a rewrite.
   void AssignColumn(ObjectId j, std::shared_ptr<const SparseColumnData> data);
-
-  /// Materializes column j into `out` (resized to n). O(n) — wire packing
-  /// and oracle checks only, never on the commit path.
-  void MaterializeColumn(ObjectId j, std::vector<Cycle>& out) const;
 
   /// Theorem 2 incremental maintenance, value-identical to
   /// FMatrix::ApplyCommit. O(sum nnz(RS columns) + |WS| log |WS|).
@@ -108,30 +110,6 @@ class SparseFMatrix {
   /// Point write via copy-on-write column rebuild (client reconstruction and
   /// tests; the server path goes through ApplyCommit). O(nnz(column j)).
   void Set(ObjectId i, ObjectId j, Cycle c);
-
-  /// Dirty-column tracking with FMatrix semantics: first-touch order, each
-  /// column at most once, O(1) per written column.
-  void EnableDirtyTracking();
-  /// Stops tracking and drops any pending touched list (snapshot copies of a
-  /// tracked matrix call this — the snapshot is immutable, so tracking state
-  /// is dead weight).
-  void DisableDirtyTracking() {
-    track_dirty_ = false;
-    touched_cols_.clear();
-    touched_mask_.clear();
-  }
-  bool dirty_tracking_enabled() const { return track_dirty_; }
-  std::span<const ObjectId> touched_columns() const { return touched_cols_; }
-  std::vector<ObjectId> TakeTouchedColumns();
-  void DrainTouchedColumns(std::vector<ObjectId>& out);
-
-  /// First read record failing the F-Matrix read condition against column j
-  /// (same order and result as KernelReadConditionScan over the dense
-  /// column), or kReadConditionPass. O(reads * log nnz(column j)).
-  size_t ReadConditionScan(std::span<const ReadRecord> reads, ObjectId j) const;
-
-  /// The read condition itself (true = all reads pass).
-  bool ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const;
 
   /// Wraparound-horizon compaction: rewrites every entry (and floor) to its
   /// windowed decode at `current`, dropping entries whose residue matches the
@@ -151,14 +129,15 @@ class SparseFMatrix {
   FMatrix ToDense() const;
   static SparseFMatrix FromDense(const FMatrix& dense);
 
-  /// Value-wise equality (shared or not).
-  friend bool operator==(const SparseFMatrix& a, const SparseFMatrix& b);
-
  private:
+  /// Same order and result as KernelReadConditionScan over the dense column,
+  /// in O(reads * log nnz(column j)).
+  size_t ScanReads(std::span<const ReadRecord> reads, ObjectId j, const CycleStampCodec* codec,
+                   Cycle current) const override;
+
   /// Rebuilds column j's payload with entry (i -> c) inserted/updated/erased
   /// per the value-vs-floor rule.
   void SetInColumn(ObjectId j, ObjectId i, Cycle c);
-  void MarkTouched(ObjectId j);
   /// nnz/nonempty accounting for replacing column j's payload with `next`.
   void Account(ObjectId j, const SparseColumnData& next);
 
@@ -171,15 +150,7 @@ class SparseFMatrix {
   // when a commit's column outgrows every previous one.
   std::vector<SparseColumnData::Entry> merge_scratch_;
   std::vector<ObjectId> ws_scratch_;
-
-  bool track_dirty_ = false;
-  std::vector<ObjectId> touched_cols_;
-  std::vector<uint8_t> touched_mask_;
 };
-
-/// Entry-wise comparison against the dense oracle.
-bool operator==(const SparseFMatrix& s, const FMatrix& d);
-inline bool operator==(const FMatrix& d, const SparseFMatrix& s) { return s == d; }
 
 /// Wire size of the sparse control encoding: a 32-bit non-empty-column
 /// count, then per non-empty column its id (ceil(log2 n) bits), floor

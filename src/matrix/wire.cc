@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <utility>
 
 #include "common/bitstream.h"
@@ -108,137 +109,129 @@ std::vector<DeltaCodec::Entry> DeltaCodec::Diff(const FMatrix& prev, const FMatr
 
 namespace {
 
-// `cur` is any column-provider (FMatrix or FMatrixSnapshot); emission stays
-// in ascending (col, row) order, identical to Diff's.
-template <typename CurMatrix>
-std::vector<DeltaCodec::Entry> DiffColumnsImpl(const FMatrix& prev, const CurMatrix& cur,
-                                               std::span<const ObjectId> touched_columns,
-                                               const CycleStampCodec& codec) {
-  std::vector<ObjectId> cols(touched_columns.begin(), touched_columns.end());
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+/// Dense column helper: every row where `a` and `b` differ.
+void DiffDenseColumn(std::span<const Cycle> a, std::span<const Cycle> b, ObjectId j,
+                     const CycleStampCodec& codec, std::vector<ObjectId>& rows,
+                     std::vector<DeltaCodec::Entry>& out) {
+  const uint32_t n = static_cast<uint32_t>(b.size());
+  rows.resize(n);
+  const uint32_t changed = KernelColumnDiffIndices(a.data(), b.data(), n, rows.data());
+  for (uint32_t k = 0; k < changed; ++k) {
+    out.push_back({rows[k], j, codec.Encode(b[rows[k]])});
+  }
+}
 
-  std::vector<DeltaCodec::Entry> out;
-  const uint32_t n = cur.num_objects();
-  std::vector<ObjectId> rows(n);
-  for (ObjectId j : cols) {
-    const Cycle* a = prev.Column(j).data();
-    const Cycle* b = cur.Column(j).data();
-    const uint32_t changed = KernelColumnDiffIndices(a, b, n, rows.data());
-    for (uint32_t k = 0; k < changed; ++k) {
-      out.push_back({rows[k], j, codec.Encode(b[rows[k]])});
+/// Sparse column helper for two columns with one floor: only rows explicit
+/// on at least one side can differ, so a merge walk over the entry lists
+/// finds them all in O(nnz).
+void DiffSparseColumn(const SparseColumnData& a, const SparseColumnData& b, ObjectId j,
+                      const CycleStampCodec& codec, std::vector<DeltaCodec::Entry>& out) {
+  size_t ia = 0, ib = 0;
+  while (ia < a.entries.size() || ib < b.entries.size()) {
+    const bool take_a = ib == b.entries.size() ||
+                        (ia < a.entries.size() && a.entries[ia].row <= b.entries[ib].row);
+    const bool take_b = ia == a.entries.size() ||
+                        (ib < b.entries.size() && b.entries[ib].row <= a.entries[ia].row);
+    if (take_a && take_b) {
+      if (a.entries[ia].value != b.entries[ib].value) {
+        out.push_back({a.entries[ia].row, j, codec.Encode(b.entries[ib].value)});
+      }
+      ++ia, ++ib;
+    } else if (take_a) {
+      out.push_back({a.entries[ia].row, j, codec.Encode(b.floor)});
+      ++ia;
+    } else {
+      out.push_back({b.entries[ib].row, j, codec.Encode(b.entries[ib].value)});
+      ++ib;
     }
   }
-  return out;
+}
+
+/// Rebuilds sparse column j of `base` with `updates` (sorted by row; for a
+/// repeated row the last one wins).
+void ApplySparseColumn(SparseFMatrix& base, ObjectId j,
+                       std::span<const SparseColumnData::Entry> updates) {
+  const SparseColumnData& cur = *base.ColumnData(j);
+  auto next = std::make_shared<SparseColumnData>();
+  next->floor = cur.floor;
+  next->entries.reserve(cur.entries.size() + updates.size());
+  size_t ic = 0;
+  for (size_t u = 0; u < updates.size(); ++u) {
+    if (u + 1 < updates.size() && updates[u + 1].row == updates[u].row) continue;  // last wins
+    while (ic < cur.entries.size() && cur.entries[ic].row < updates[u].row) {
+      next->entries.push_back(cur.entries[ic++]);
+    }
+    if (ic < cur.entries.size() && cur.entries[ic].row == updates[u].row) ++ic;
+    if (updates[u].value != next->floor) next->entries.push_back(updates[u]);
+  }
+  while (ic < cur.entries.size()) next->entries.push_back(cur.entries[ic++]);
+  base.AssignColumn(j, std::move(next));
 }
 
 }  // namespace
 
-std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const FMatrix& prev, const FMatrix& cur,
-                                                       std::span<const ObjectId> touched_columns,
+std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const ControlSnapshot& prev,
+                                                       const ControlSnapshot& cur,
                                                        const CycleStampCodec& codec) {
-  return DiffColumnsImpl(prev, cur, touched_columns, codec);
-}
-
-std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const FMatrix& prev,
-                                                       const FMatrixSnapshot& cur,
-                                                       std::span<const ObjectId> touched_columns,
-                                                       const CycleStampCodec& codec) {
-  return DiffColumnsImpl(prev, cur, touched_columns, codec);
-}
-
-std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const SparseFMatrix& prev,
-                                                       const SparseFMatrix& cur,
-                                                       std::span<const ObjectId> touched_columns,
-                                                       const CycleStampCodec& codec) {
-  std::vector<ObjectId> cols(touched_columns.begin(), touched_columns.end());
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-
+  assert(prev.num_objects() == cur.num_objects());
   std::vector<Entry> out;
-  const uint32_t n = cur.num_objects();
-  std::vector<Cycle> prev_dense, cur_dense;
-  for (ObjectId j : cols) {
-    const SparseColumnData& a = *prev.ColumnData(j);
-    const SparseColumnData& b = *cur.ColumnData(j);
-    if (&a == &b) continue;  // shared payload: provably unchanged
-    if (a.floor != b.floor) {
-      // Differing floors make every doubly-implicit row differ too; the
-      // straightforward dense walk is the clear O(n) way to emit them all.
-      // (Server-path matrices keep floor 0 throughout, so this branch only
-      // runs for client-reconstructed bases.)
-      prev.MaterializeColumn(j, prev_dense);
-      cur.MaterializeColumn(j, cur_dense);
-      for (ObjectId i = 0; i < n; ++i) {
-        if (prev_dense[i] != cur_dense[i]) out.push_back({i, j, codec.Encode(cur_dense[i])});
-      }
-      continue;
-    }
-    // Equal floors: only rows explicit in at least one side can differ.
-    size_t ia = 0, ib = 0;
-    while (ia < a.entries.size() || ib < b.entries.size()) {
-      const bool take_a = ib == b.entries.size() ||
-                          (ia < a.entries.size() && a.entries[ia].row <= b.entries[ib].row);
-      const bool take_b = ia == a.entries.size() ||
-                          (ib < b.entries.size() && b.entries[ib].row <= a.entries[ia].row);
-      if (take_a && take_b) {
-        if (a.entries[ia].value != b.entries[ib].value) {
-          out.push_back({a.entries[ia].row, j, codec.Encode(b.entries[ib].value)});
-        }
-        ++ia, ++ib;
-      } else if (take_a) {
-        out.push_back({a.entries[ia].row, j, codec.Encode(b.floor)});
-        ++ia;
-      } else {
-        out.push_back({b.entries[ib].row, j, codec.Encode(b.entries[ib].value)});
-        ++ib;
+  std::vector<ObjectId> rows;
+  std::vector<Cycle> prev_scratch, cur_scratch;
+  const bool both_sparse = prev.sparse_ != nullptr && cur.sparse_ != nullptr;
+  for (ObjectId j = 0; j < cur.num_objects(); ++j) {
+    if (prev.ColumnPayload(j) == cur.ColumnPayload(j)) continue;  // shared: unchanged
+    if (both_sparse) {
+      const SparseColumnData& a = *prev.sparse_->ColumnData(j);
+      const SparseColumnData& b = *cur.sparse_->ColumnData(j);
+      // Differing floors make every doubly-implicit row differ too; only
+      // client-reconstructed bases get there (server columns keep floor 0),
+      // and the dense walk below emits them all.
+      if (a.floor == b.floor) {
+        DiffSparseColumn(a, b, j, codec, out);
+        continue;
       }
     }
+    DiffDenseColumn(prev.Column(j, prev_scratch), cur.Column(j, cur_scratch), j, codec, rows,
+                    out);
   }
   return out;
 }
 
-void DeltaCodec::Apply(FMatrix* base, std::span<const Entry> entries,
-                       const CycleStampCodec& codec, Cycle current) {
-  for (const Entry& e : entries) {
-    base->Set(e.row, e.col, codec.Decode(e.residue, current));
-  }
-}
-
-void DeltaCodec::Apply(SparseFMatrix* base, std::span<const Entry> entries,
-                       const CycleStampCodec& codec, Cycle current) {
+ControlSnapshot DeltaCodec::Apply(const ControlSnapshot& base, std::span<const Entry> entries,
+                                  const CycleStampCodec& codec, Cycle current) {
   // Entries arrive grouped by column in ascending row order (Diff emission
-  // and Pack/Unpack preserve it); rebuild each column's payload once instead
-  // of one copy-on-write rebuild per entry. Row order within a run is not
-  // assumed — a defensive stable sort keeps last-wins semantics identical to
-  // the dense Apply even on adversarial input.
+  // and Pack/Unpack preserve it); each run of one column is applied as one
+  // column rebuild. Row order within a run is not assumed — the stable sort
+  // keeps last-wins semantics on adversarial input — and a column named by
+  // two separate runs is rebuilt twice, the second time on top of the first.
+  assert(base.num_objects() > 0);
   std::vector<SparseColumnData::Entry> updates;
+  if (base.sparse_ != nullptr) {
+    SparseFMatrix next = *base.sparse_;
+    for (size_t k = 0; k < entries.size();) {
+      const ObjectId j = entries[k].col;
+      updates.clear();
+      for (; k < entries.size() && entries[k].col == j; ++k) {
+        updates.push_back({entries[k].row, codec.Decode(entries[k].residue, current)});
+      }
+      std::stable_sort(updates.begin(), updates.end(),
+                       [](const SparseColumnData::Entry& a, const SparseColumnData::Entry& b) {
+                         return a.row < b.row;
+                       });
+      ApplySparseColumn(next, j, updates);
+    }
+    return next;
+  }
+  FMatrixSnapshot next = *base.dense_;
   for (size_t k = 0; k < entries.size();) {
     const ObjectId j = entries[k].col;
-    updates.clear();
+    auto page = std::make_shared<std::vector<Cycle>>(*next.ColumnPage(j));
     for (; k < entries.size() && entries[k].col == j; ++k) {
-      updates.push_back({entries[k].row, codec.Decode(entries[k].residue, current)});
+      (*page)[entries[k].row] = codec.Decode(entries[k].residue, current);
     }
-    std::stable_sort(updates.begin(), updates.end(),
-                     [](const SparseColumnData::Entry& a, const SparseColumnData::Entry& b) {
-                       return a.row < b.row;
-                     });
-    const SparseColumnData& cur = *base->ColumnData(j);
-    auto next = std::make_shared<SparseColumnData>();
-    next->floor = cur.floor;
-    next->entries.reserve(cur.entries.size() + updates.size());
-    size_t ic = 0;
-    for (size_t u = 0; u < updates.size(); ++u) {
-      if (u + 1 < updates.size() && updates[u + 1].row == updates[u].row) continue;  // last wins
-      while (ic < cur.entries.size() && cur.entries[ic].row < updates[u].row) {
-        next->entries.push_back(cur.entries[ic++]);
-      }
-      if (ic < cur.entries.size() && cur.entries[ic].row == updates[u].row) ++ic;
-      if (updates[u].value != next->floor) next->entries.push_back(updates[u]);
-    }
-    while (ic < cur.entries.size()) next->entries.push_back(cur.entries[ic++]);
-    base->AssignColumn(j, std::move(next));
+    next.AssignColumn(j, std::move(page));
   }
+  return next;
 }
 
 uint64_t DeltaCodec::EncodedBits(size_t num_entries, uint32_t num_objects, unsigned ts_bits) {
@@ -317,37 +310,11 @@ StatusOr<std::vector<DeltaCodec::Entry>> DeltaCodec::Unpack(std::span<const uint
   return out;
 }
 
-namespace {
-
-template <typename AnyMatrix>
-std::vector<uint8_t> PackMatrixImpl(const AnyMatrix& matrix, const CycleStampCodec& codec) {
+std::vector<uint8_t> PackMatrix(const ControlMatrix& matrix, const CycleStampCodec& codec) {
   BitWriter writer;
-  const uint32_t n = matrix.num_objects();
-  for (ObjectId j = 0; j < n; ++j) {
-    for (const Cycle c : matrix.Column(j)) writer.Write(codec.Encode(c), codec.bits());
-  }
-  return std::move(writer).Release();
-}
-
-}  // namespace
-
-std::vector<uint8_t> PackMatrix(const FMatrix& matrix, const CycleStampCodec& codec) {
-  return PackMatrixImpl(matrix, codec);
-}
-
-std::vector<uint8_t> PackMatrix(const FMatrixSnapshot& matrix, const CycleStampCodec& codec) {
-  return PackMatrixImpl(matrix, codec);
-}
-
-std::vector<uint8_t> PackMatrix(const SparseFMatrix& matrix, const CycleStampCodec& codec) {
-  // Byte-identical to the dense packing: the on-air format does not change
-  // with the server's in-memory representation.
-  BitWriter writer;
-  const uint32_t n = matrix.num_objects();
-  std::vector<Cycle> column;
-  for (ObjectId j = 0; j < n; ++j) {
-    matrix.MaterializeColumn(j, column);
-    for (const Cycle c : column) writer.Write(codec.Encode(c), codec.bits());
+  std::vector<Cycle> scratch;
+  for (ObjectId j = 0; j < matrix.num_objects(); ++j) {
+    for (const Cycle c : matrix.Column(j, scratch)) writer.Write(codec.Encode(c), codec.bits());
   }
   return std::move(writer).Release();
 }

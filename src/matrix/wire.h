@@ -20,6 +20,7 @@
 #include "common/cycle_stamp.h"
 #include "common/statusor.h"
 #include "matrix/control_info.h"
+#include "matrix/control_matrix.h"
 #include "matrix/f_matrix.h"
 #include "matrix/mc_vector.h"
 #include "matrix/sparse_f_matrix.h"
@@ -79,46 +80,27 @@ class DeltaCodec {
     uint32_t residue;
   };
 
-  /// Changed entries between consecutive cycle snapshots, by full O(n^2)
-  /// rescan. Kept as the test oracle for DiffColumns; production callers with
-  /// a dirty list (FMatrix::EnableDirtyTracking) should use DiffColumns.
+  /// Changed entries between two matrices, by full O(n^2) rescan. The test
+  /// oracle for DiffColumns.
   static std::vector<Entry> Diff(const FMatrix& prev, const FMatrix& cur,
                                  const CycleStampCodec& codec);
 
-  /// Diff restricted to `touched_columns` — O(n * |touched|) instead of
-  /// O(n^2). Correct whenever `touched_columns` covers every column that
-  /// differs between prev and cur (ApplyCommit only rewrites WS columns, so
-  /// the FMatrix dirty list satisfies this). Duplicate and unsorted column
-  /// ids are fine; output entries are emitted in ascending (col, row) order,
-  /// identical to Diff's.
-  static std::vector<Entry> DiffColumns(const FMatrix& prev, const FMatrix& cur,
-                                        std::span<const ObjectId> touched_columns,
+  /// Changed entries between consecutive cycle snapshots, in ascending
+  /// (col, row) order — identical to Diff's. A column whose payload `cur`
+  /// shares with `prev` is unchanged and costs O(1); any other column is
+  /// compared by the dense column kernel, or by an O(nnz) merge walk when
+  /// both sides hold it as sparse columns with one floor. Both snapshots
+  /// must be held for the whole call (see ControlSnapshot on payload
+  /// identity).
+  static std::vector<Entry> DiffColumns(const ControlSnapshot& prev, const ControlSnapshot& cur,
                                         const CycleStampCodec& codec);
 
-  /// Same, with the current matrix given as a cycle snapshot (the engines'
-  /// per-cycle control state is an FMatrixSnapshot since the CoW change).
-  static std::vector<Entry> DiffColumns(const FMatrix& prev, const FMatrixSnapshot& cur,
-                                        std::span<const ObjectId> touched_columns,
-                                        const CycleStampCodec& codec);
-
-  /// Sparse-to-sparse variant: entries (and order) are identical to the dense
-  /// DiffColumns on the materialized matrices, but each touched column costs
-  /// O(nnz) via a merge walk — with a pointer-equality fast path for columns
-  /// whose payloads are shared between prev and cur (unchanged columns cost
-  /// O(1)).
-  static std::vector<Entry> DiffColumns(const SparseFMatrix& prev, const SparseFMatrix& cur,
-                                        std::span<const ObjectId> touched_columns,
-                                        const CycleStampCodec& codec);
-
-  /// Applies a diff on top of `base` (decoding residues at `current`).
-  static void Apply(FMatrix* base, std::span<const Entry> entries, const CycleStampCodec& codec,
-                    Cycle current);
-
-  /// Sparse variant: one copy-on-write column rebuild per touched column
-  /// (entries are grouped by column, as Pack/Diff emit them), value-identical
-  /// to the dense Apply including duplicate-entry last-wins semantics.
-  static void Apply(SparseFMatrix* base, std::span<const Entry> entries,
-                    const CycleStampCodec& codec, Cycle current);
+  /// `base` with `entries` applied (residues decoded at `current`), in
+  /// `base`'s representation: one copy-on-write rebuild per column the
+  /// entries name, every other column shared with `base`. Entries naming one
+  /// cell twice apply in order (last wins).
+  static ControlSnapshot Apply(const ControlSnapshot& base, std::span<const Entry> entries,
+                               const CycleStampCodec& codec, Cycle current);
 
   /// Wire size of a diff: a count header (32 bits) plus, per entry, row and
   /// column indices (ceil(log2 n) bits each) and the TS-bit stamp.
@@ -140,14 +122,12 @@ class DeltaCodec {
 
 /// Packs a full matrix into the on-air bitstream: n^2 TS-bit residues,
 /// column-major and contiguous (no per-column padding), zero-padded to whole
-/// bytes — exactly FullMatrixControlBits(n, ts) data bits. The sparse
-/// overload produces byte-identical output (the on-air format stays dense so
-/// frames, and therefore seeded loss patterns, are bit-identical across
-/// representations; the sparse saving is in server memory and maintenance,
-/// and in the delta/sparse accounting paths).
-std::vector<uint8_t> PackMatrix(const FMatrix& matrix, const CycleStampCodec& codec);
-std::vector<uint8_t> PackMatrix(const FMatrixSnapshot& matrix, const CycleStampCodec& codec);
-std::vector<uint8_t> PackMatrix(const SparseFMatrix& matrix, const CycleStampCodec& codec);
+/// bytes — exactly FullMatrixControlBits(n, ts) data bits. The on-air format
+/// does not depend on the representation, so frames, and therefore seeded
+/// loss patterns, are bit-identical across representations (the sparse
+/// saving is in server memory and maintenance, and in the delta/sparse
+/// accounting paths).
+std::vector<uint8_t> PackMatrix(const ControlMatrix& matrix, const CycleStampCodec& codec);
 
 /// Inverse of PackMatrix, decoding every residue anchored at `current`, with
 /// the same strict framing rules as UnpackStamps.

@@ -379,7 +379,8 @@ Status ClientRuntime::CompleteHandshake(const HelloAckMsg& ack) {
   for (uint32_t i = 0; i < net_.txns_per_cycle; ++i) {
     auto slot = std::make_unique<TxnSlot>(sim_.algorithm, stamp_codec_);
     slot->protocol.set_value_override(&receiver_->values());
-    slot->protocol.set_control_override(tracker_ ? &tracker_->matrix() : &receiver_->matrix());
+    const ControlMatrix& control = tracker_ ? tracker_->matrix() : receiver_->matrix();
+    slot->protocol.set_control_override(&control);
     StartNextTxn(*slot);
     slots_.push_back(std::move(slot));
   }
@@ -673,8 +674,8 @@ uint64_t ClientRuntime::ComputeDigest() const {
   // the server stores true absolutes — both reduce to the same residues, so
   // at loss 0 the digests are bit-identical.
   uint64_t h = DigestValues(receiver_->values());
-  return DigestMatrixResidues(tracker_ ? tracker_->matrix() : receiver_->matrix(), *stamp_codec_,
-                              h);
+  const ControlMatrix& matrix = tracker_ ? tracker_->matrix() : receiver_->matrix();
+  return DigestMatrixResidues(matrix, *stamp_codec_, h);
 }
 
 }  // namespace

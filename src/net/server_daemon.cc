@@ -86,7 +86,6 @@ class ServerDaemon {
 
   // Engine: the same server cycle core as the in-process simulators.
   std::unique_ptr<ServerCycle> core_;
-  std::vector<ObjectId> touched_scratch_;
   std::optional<FrameCodec> codec_;
   std::vector<Frame> frame_scratch_;
   TxnId next_uplink_id_ = 1u << 30;  ///< uplink txn ids, disjoint from workload ids
@@ -546,15 +545,12 @@ Status ServerDaemon::BroadcastCycles() {
     if (registry_ != nullptr && sim_.matrix_mode == MatrixMode::kSparse) {
       // Cycle boundary: the commit batch was just flushed into the snapshot,
       // so nnz() is the begin-of-cycle footprint clients validate against.
-      const SparseFMatrix& sm = core_->manager().sparse_f_matrix();
+      const SparseFMatrix& sm = core_->manager().sparse_matrix();
       GaugeSet(m_matrix_nnz_, static_cast<int64_t>(sm.nnz()));
       GaugeSet(m_matrix_control_bytes_,
                static_cast<int64_t>(SparseMatrixControlBits(sm, sim_.timestamp_bits) / 8));
     }
-    if (sim_.delta_broadcast) {
-      core_->manager().DrainTouchedColumns(touched_scratch_);
-      core_->server().AttachDeltaControl(touched_scratch_);
-    }
+    if (sim_.delta_broadcast) core_->server().AttachDeltaControl();
     BCC_RETURN_IF_ERROR(FanOutCycle(cycle));
     // The cycle's server commits are staged right after its snapshot goes on
     // the air: an uplink validated later in the cycle sees their MC effects
@@ -624,15 +620,10 @@ Status ServerDaemon::Run(ServerReport* report) {
   core_->Fold(sim_.stop_after_cycles);
 
   const CycleSnapshot& snap = core_->server().snapshot();
-  uint64_t digest = DigestValues(snap.values);
-  // Sparse mode leaves the snapshot's dense matrix empty; the sparse At()
-  // returns the same absolute values, so the digest is representation-
-  // independent (a sparse daemon still matches a dense in-process oracle).
-  const CycleStampCodec digest_codec(sim_.timestamp_bits);
-  digest = snap.sparse_f_matrix != nullptr
-               ? DigestMatrixResidues(*snap.sparse_f_matrix, digest_codec, digest)
-               : DigestMatrixResidues(snap.f_matrix, digest_codec, digest);
-  stats_.digest = digest;
+  // The digest reads entry values, not the representation, so a sparse
+  // daemon still matches a dense in-process oracle.
+  stats_.digest = DigestMatrixResidues(snap.f_matrix, CycleStampCodec(sim_.timestamp_bits),
+                                       DigestValues(snap.values));
   stats_.wall_sec = wall_.ElapsedSec();
   stats_.cycles_per_sec =
       stats_.wall_sec > 0 ? static_cast<double>(stats_.cycles) / stats_.wall_sec : 0;

@@ -12,8 +12,10 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/cycle_stamp.h"
+#include "matrix/control_matrix.h"
 #include "server/store.h"
 
 namespace bcc {
@@ -39,17 +41,13 @@ inline uint64_t DigestValues(std::span<const ObjectVersion> values, uint64_t has
   return hash;
 }
 
-/// Folds every matrix entry's ts-bit residue into the digest. Works for any
-/// matrix type exposing num_objects() and At(i, j) — FMatrix on the client,
-/// FMatrixSnapshot on the server.
-template <typename Matrix>
-uint64_t DigestMatrixResidues(const Matrix& matrix, const CycleStampCodec& codec,
-                              uint64_t hash = kFnvOffset) {
-  const uint32_t n = matrix.num_objects();
-  for (uint32_t j = 0; j < n; ++j) {
-    for (uint32_t i = 0; i < n; ++i) {
-      hash = FnvMix(hash, codec.Encode(matrix.At(i, j)));
-    }
+/// Folds every matrix entry's ts-bit residue into the digest, column by
+/// column — FMatrix on the client, the cycle's ControlSnapshot on the server.
+inline uint64_t DigestMatrixResidues(const ControlMatrix& matrix, const CycleStampCodec& codec,
+                                     uint64_t hash = kFnvOffset) {
+  std::vector<Cycle> scratch;
+  for (uint32_t j = 0; j < matrix.num_objects(); ++j) {
+    for (const Cycle c : matrix.Column(j, scratch)) hash = FnvMix(hash, codec.Encode(c));
   }
   return hash;
 }

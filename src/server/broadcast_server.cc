@@ -36,14 +36,7 @@ CycleSnapshot BroadcastServer::BuildSnapshot(Cycle cycle, SimTime start_time,
   snap.cycle = cycle;
   snap.start_time = start_time;
   snap.values = manager.store().committed();
-  if (manager.sparse_f_matrix().num_objects() > 0) {
-    // Sparse representation: the snapshot carries shared immutable columns;
-    // the dense snapshot stays empty even if the manager also maintains it
-    // (parity tests), so consumers exercise the sparse path.
-    snap.sparse_f_matrix = manager.SnapshotSparseFMatrix();
-  } else if (manager.f_matrix().num_objects() > 0) {
-    snap.f_matrix = manager.SnapshotFMatrix();
-  }
+  snap.f_matrix = manager.SnapshotControl();
   if (manager.mc_vector().num_objects() > 0) snap.mc_vector = manager.mc_vector();
   if (partition_.has_value() && manager.f_matrix().num_objects() > 0) {
     snap.group_matrix.emplace(*partition_, manager.f_matrix());
@@ -66,16 +59,10 @@ void BroadcastServer::EnableDeltaBroadcast(const CycleStampCodec& codec,
   delta_.emplace(num_objects_, codec, refresh_period);
 }
 
-void BroadcastServer::AttachDeltaControl(std::span<const ObjectId> touched_columns) {
+void BroadcastServer::AttachDeltaControl() {
   assert(started_ && delta_.has_value());
   assert(!snapshot_.delta.has_value() && "one AttachDeltaControl per BeginCycle");
-  if (snapshot_.sparse_f_matrix != nullptr) {
-    snapshot_.delta =
-        delta_->BuildControl(*snapshot_.sparse_f_matrix, touched_columns, snapshot_.cycle);
-  } else {
-    snapshot_.delta =
-        delta_->BuildControl(snapshot_.f_matrix, touched_columns, snapshot_.cycle);
-  }
+  snapshot_.delta = delta_->BuildControl(snapshot_.f_matrix, snapshot_.cycle);
 }
 
 SimTime BroadcastServer::ObjectAvailableTime(ObjectId ob) const {

@@ -27,22 +27,16 @@ struct CycleSnapshot {
   Cycle cycle = 0;
   SimTime start_time = 0;
   std::vector<ObjectVersion> values;
-  /// Present when the serving algorithm needs the full matrix. A
-  /// copy-on-write view: columns untouched since the previous cycle are
-  /// shared with that cycle's snapshot, so materializing a cycle snapshot is
-  /// O(n * touched) instead of O(n^2).
-  FMatrixSnapshot f_matrix;
+  /// The control matrix, present (num_objects() > 0) when the serving
+  /// algorithm needs the full matrix. A copy-on-write snapshot in the
+  /// manager's representation: columns untouched since the previous cycle
+  /// are shared with that cycle's snapshot, so materializing it is
+  /// O(n * touched) dense and O(n) sparse instead of O(n^2).
+  ControlSnapshot f_matrix;
   /// Present when the serving algorithm needs the reduced vector.
   McVector mc_vector{0};
   /// Present when a grouped partition is configured (Section 3.2.2 spectrum).
   std::optional<GroupMatrix> group_matrix;
-  /// Present when the manager maintains the sparse representation
-  /// (MatrixMode::kSparse): the beginning-of-cycle control matrix as shared
-  /// immutable columns. Value-identical to what f_matrix would hold; when
-  /// set, f_matrix is left empty (n = 0) and consumers — read validation,
-  /// delta diffing, frame packing — use this instead, producing bit-identical
-  /// decisions and on-air bytes.
-  std::shared_ptr<const SparseFMatrix> sparse_f_matrix;
   /// Present in snapshot+delta mode: the sparse control block this cycle
   /// puts on the air instead of (notionally) the full matrix. f_matrix is
   /// still populated — it is what a refresh broadcasts and what tests
@@ -90,15 +84,15 @@ class BroadcastServer {
   }
 
   /// Switches control broadcasting to snapshot+delta mode: each BeginCycle
-  /// must be followed by AttachDeltaControl with the dirty columns drained
-  /// from the txn manager. Must be called before the first BeginCycle.
+  /// must be followed by AttachDeltaControl. Must be called before the first
+  /// BeginCycle.
   void EnableDeltaBroadcast(const CycleStampCodec& codec, uint64_t refresh_period);
   bool delta_enabled() const { return delta_.has_value(); }
 
-  /// Builds this cycle's DeltaControl from the current snapshot's matrix and
-  /// the columns rewritten since the previous cycle, and attaches it to the
-  /// snapshot. Call exactly once per BeginCycle, in cycle order.
-  void AttachDeltaControl(std::span<const ObjectId> touched_columns);
+  /// Builds this cycle's DeltaControl by diffing the current snapshot's
+  /// matrix against the previous cycle's, and attaches it to the snapshot.
+  /// Call exactly once per BeginCycle, in cycle order.
+  void AttachDeltaControl();
 
   /// Builds the beginning-of-cycle state that cycle `cycle` (starting at
   /// `start_time`) puts on the air: committed values plus the control

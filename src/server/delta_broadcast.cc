@@ -1,7 +1,6 @@
 #include "server/delta_broadcast.h"
 
 #include <cassert>
-#include <utility>
 
 namespace bcc {
 
@@ -12,23 +11,19 @@ DeltaBroadcaster::DeltaBroadcaster(uint32_t num_objects, CycleStampCodec codec,
   assert(refresh_period_ <= codec_.max_cycles());
 }
 
-template <typename CurMatrix>
-DeltaControl DeltaBroadcaster::BuildControlImpl(const CurMatrix& current,
-                                                std::span<const ObjectId> touched_columns,
-                                                Cycle cycle) {
+DeltaControl DeltaBroadcaster::BuildControl(const ControlSnapshot& current, Cycle cycle) {
   assert(!started_ || cycle == last_cycle_ + 1);
-  if (prev_.num_objects() != n_) prev_ = FMatrix(n_);
+  assert(current.num_objects() == n_);
 
   DeltaControl ctl;
   ctl.cycle = cycle;
   ctl.full_bits = FullMatrixControlBits(n_, codec_.bits());
 
-  const bool scheduled =
-      !started_ || cycle - last_refresh_cycle_ >= refresh_period_;
+  const bool scheduled = !started_ || cycle - last_refresh_cycle_ >= refresh_period_;
   bool refresh = scheduled;
   if (!refresh) {
     ctl.base_cycle = last_cycle_;
-    ctl.entries = DeltaCodec::DiffColumns(prev_, current, touched_columns, codec_);
+    ctl.entries = DeltaCodec::DiffColumns(prev_, current, codec_);
     ctl.control_bits = DeltaCodec::EncodedBits(ctl.entries.size(), n_, codec_.bits());
     // Adaptive fallback: the delta would not beat the full matrix, so send
     // the matrix itself in the (fixed-size) control reservation.
@@ -44,69 +39,9 @@ DeltaControl DeltaBroadcaster::BuildControlImpl(const CurMatrix& current,
     ctl.base_cycle = cycle;
     ctl.control_bits = ctl.full_bits;
     last_refresh_cycle_ = cycle;
-    // Refresh resets the diff base wholesale (O(n^2), refresh cycles only).
-    for (ObjectId j = 0; j < n_; ++j) {
-      for (uint32_t i = 0; i < n_; ++i) prev_.Set(i, j, current.At(i, j));
-    }
-  } else {
-    // Fold only the touched columns into the diff base: O(n * touched).
-    for (ObjectId j : touched_columns) {
-      for (uint32_t i = 0; i < n_; ++i) prev_.Set(i, j, current.At(i, j));
-    }
   }
 
-  started_ = true;
-  last_cycle_ = cycle;
-  return ctl;
-}
-
-DeltaControl DeltaBroadcaster::BuildControl(const FMatrix& current,
-                                            std::span<const ObjectId> touched_columns,
-                                            Cycle cycle) {
-  return BuildControlImpl(current, touched_columns, cycle);
-}
-
-DeltaControl DeltaBroadcaster::BuildControl(const FMatrixSnapshot& current,
-                                            std::span<const ObjectId> touched_columns,
-                                            Cycle cycle) {
-  return BuildControlImpl(current, touched_columns, cycle);
-}
-
-DeltaControl DeltaBroadcaster::BuildControl(const SparseFMatrix& current,
-                                            std::span<const ObjectId> touched_columns,
-                                            Cycle cycle) {
-  assert(!started_ || cycle == last_cycle_ + 1);
-  if (sparse_prev_.num_objects() != n_) sparse_prev_ = SparseFMatrix(n_);
-
-  DeltaControl ctl;
-  ctl.cycle = cycle;
-  ctl.full_bits = FullMatrixControlBits(n_, codec_.bits());
-
-  const bool scheduled = !started_ || cycle - last_refresh_cycle_ >= refresh_period_;
-  bool refresh = scheduled;
-  if (!refresh) {
-    ctl.base_cycle = last_cycle_;
-    ctl.entries = DeltaCodec::DiffColumns(sparse_prev_, current, touched_columns, codec_);
-    ctl.control_bits = DeltaCodec::EncodedBits(ctl.entries.size(), n_, codec_.bits());
-    if (ctl.control_bits >= ctl.full_bits) {
-      refresh = true;
-      ctl.entries.clear();
-    }
-  }
-
-  if (refresh) {
-    ctl.full_refresh = true;
-    ctl.scheduled = scheduled;
-    ctl.base_cycle = cycle;
-    ctl.control_bits = ctl.full_bits;
-    last_refresh_cycle_ = cycle;
-    sparse_prev_ = current;  // O(n) shared-pointer copies; payloads shared
-  } else {
-    for (ObjectId j : touched_columns) {
-      sparse_prev_.AssignColumn(j, current.ColumnData(j));
-    }
-  }
-
+  prev_ = current;
   started_ = true;
   last_cycle_ = cycle;
   return ctl;

@@ -18,16 +18,11 @@ StatusOr<std::unique_ptr<ServerCycle>> ServerCycle::Create(const SimConfig& conf
 Status ServerCycle::Init(const SimConfig& config, Rng& root, bool uplink) {
   const bool f_family =
       config.algorithm == Algorithm::kFMatrix || config.algorithm == Algorithm::kFMatrixNo;
-  const bool sparse_mode = config.matrix_mode == MatrixMode::kSparse;
   TxnManagerOptions options;
-  // In sparse mode the dense matrix is maintained only when the oracle
-  // needs it (record_history) — it is O(n^2) and the snapshot path prefers
-  // the sparse representation regardless.
-  options.maintain_f_matrix = (f_family && !sparse_mode) || config.record_history;
-  options.maintain_sparse_matrix = f_family && sparse_mode;
+  options.maintain_f_matrix = f_family || config.record_history;
   options.maintain_mc_vector = true;
   options.record_history = config.record_history;
-  options.track_dirty_columns = config.delta_broadcast;
+  options.matrix_mode = config.matrix_mode;
   manager_ = std::make_unique<ServerTxnManager>(config.num_objects, options);
 
   server_ = std::make_unique<BroadcastServer>(config.num_objects, config.Geometry());

@@ -7,16 +7,8 @@ namespace bcc {
 ServerTxnManager::ServerTxnManager(uint32_t num_objects, TxnManagerOptions options)
     : options_(options),
       store_(num_objects),
-      f_matrix_(options.maintain_f_matrix ? num_objects : 0),
-      sparse_f_matrix_(options.maintain_sparse_matrix ? num_objects : 0),
-      mc_vector_(options.maintain_mc_vector ? num_objects : 0) {
-  if (options_.track_dirty_columns) {
-    assert((options_.maintain_f_matrix || options_.maintain_sparse_matrix) &&
-           "dirty tracking requires a control matrix");
-    if (options_.maintain_f_matrix) f_matrix_.EnableDirtyTracking();
-    if (options_.maintain_sparse_matrix) sparse_f_matrix_.EnableDirtyTracking();
-  }
-}
+      control_(options.matrix_mode, options.maintain_f_matrix ? num_objects : 0),
+      mc_vector_(options.maintain_mc_vector ? num_objects : 0) {}
 
 std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& txn, Cycle cycle) {
   assert(txn.id != kInitTxn && txn.id != kNoTxn);
@@ -40,23 +32,16 @@ std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& t
   store_.CommitStaged(cycle);
   if (options_.record_history) history_.AppendCommit(txn.id);
 
-  // Control information (Theorem 2 incremental maintenance). With batching
-  // enabled the control-matrix work is queued and fused per cycle
-  // (ApplyCommitBatch); a cycle change flushes the previous batch.
-  if (options_.maintain_f_matrix || options_.maintain_sparse_matrix) {
-    if (options_.batch_commit_maintenance) {
-      if (batch_size_ > 0 && cycle != batch_cycle_) FlushCommitBatch();
-      batch_cycle_ = cycle;
-      if (batch_size_ == batch_.size()) batch_.emplace_back();
-      CommitSets& slot = batch_[batch_size_++];
-      slot.read_set.assign(txn.read_set.begin(), txn.read_set.end());
-      slot.write_set.assign(txn.write_set.begin(), txn.write_set.end());
-    } else {
-      if (options_.maintain_f_matrix) f_matrix_.ApplyCommit(txn.read_set, txn.write_set, cycle);
-      if (options_.maintain_sparse_matrix) {
-        sparse_f_matrix_.ApplyCommit(txn.read_set, txn.write_set, cycle);
-      }
-    }
+  // Control information (Theorem 2 incremental maintenance): the
+  // control-matrix work is queued and fused per cycle (ApplyCommitBatch); a
+  // cycle change flushes the previous batch.
+  if (options_.maintain_f_matrix) {
+    if (batch_size_ > 0 && cycle != batch_cycle_) FlushCommitBatch();
+    batch_cycle_ = cycle;
+    if (batch_size_ == batch_.size()) batch_.emplace_back();
+    CommitSets& slot = batch_[batch_size_++];
+    slot.read_set.assign(txn.read_set.begin(), txn.read_set.end());
+    slot.write_set.assign(txn.write_set.begin(), txn.write_set.end());
   }
   if (options_.maintain_mc_vector) {
     mc_vector_.ApplyCommit(txn.write_set, cycle);
@@ -71,15 +56,8 @@ void ServerTxnManager::FlushCommitBatch() {
   if (batch_size_ == 0) return;
   const size_t count = batch_size_;
   batch_size_ = 0;  // reset first: ApplyCommitBatch must not re-enter anyway
-  const std::span<const CommitSets> commits(batch_.data(), count);
-  if (options_.maintain_f_matrix) {
-    if (fold_runner_ && fold_shards_ > 1) {
-      f_matrix_.ApplyCommitBatch(commits, batch_cycle_, fold_runner_, fold_shards_);
-    } else {
-      f_matrix_.ApplyCommitBatch(commits, batch_cycle_);
-    }
-  }
-  if (options_.maintain_sparse_matrix) sparse_f_matrix_.ApplyCommitBatch(commits, batch_cycle_);
+  control_.ApplyCommitBatch(std::span<const CommitSets>(batch_.data(), count), batch_cycle_,
+                            fold_runner_, fold_shards_);
 }
 
 }  // namespace bcc

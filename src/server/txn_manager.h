@@ -6,7 +6,8 @@
 // the paper's "simple case where the entries are updated as per a
 // serialization order". Each commit atomically:
 //   - installs the transaction's writes into the two-version store,
-//   - applies the Theorem 2 incremental update to the F-Matrix,
+//   - applies the Theorem 2 incremental update to the control matrix
+//     (queued, and folded once per broadcast cycle),
 //   - advances the reduced MC vector, and
 //   - (optionally) appends the operations to a recorded history so tests
 //     can replay the run through the APPROX/legality oracles.
@@ -19,9 +20,8 @@
 
 #include "history/history.h"
 #include "history/object_id.h"
-#include "matrix/f_matrix.h"
+#include "matrix/control_plane.h"
 #include "matrix/mc_vector.h"
-#include "matrix/sparse_f_matrix.h"
 #include "server/store.h"
 
 namespace bcc {
@@ -37,26 +37,13 @@ struct ServerTxn {
 /// Options controlling which structures the manager maintains. Simulations
 /// disable what their algorithm does not need.
 struct TxnManagerOptions {
+  /// Maintain the control matrix, in `matrix_mode`'s representation.
   bool maintain_f_matrix = true;
   bool maintain_mc_vector = true;
   bool record_history = false;
-  /// Record which F-Matrix columns commits rewrite (requires
-  /// maintain_f_matrix); drained via TakeTouchedColumns for delta broadcast.
-  bool track_dirty_columns = false;
-  /// Fuse each broadcast cycle's F-Matrix maintenance into one
-  /// FMatrix::ApplyCommitBatch call (bit-identical to the per-commit path;
-  /// DESIGN.md §4g). Commits queue until the cycle advances or the matrix is
-  /// observed (f_matrix(), SnapshotFMatrix(), TakeTouchedColumns), so every
-  /// reader still sees exactly the sequential-maintenance state. The MC
-  /// vector is always maintained eagerly — the uplink validator reads it
-  /// mid-cycle. Disable to force the per-commit oracle path.
-  bool batch_commit_maintenance = true;
-  /// Maintain the control matrix in compressed-sparse-column form
-  /// (MatrixMode::kSparse): value-identical to the dense FMatrix, O(nnz)
-  /// per commit. May be combined with maintain_f_matrix (parity tests);
-  /// the sims enable exactly one. Dirty-column drains prefer the sparse
-  /// matrix when both track.
-  bool maintain_sparse_matrix = false;
+  /// Representation of the control matrix: dense, or compressed sparse
+  /// columns (value-identical, O(nnz) per commit).
+  MatrixMode matrix_mode = MatrixMode::kDense;
 };
 
 /// Serial update-transaction executor.
@@ -73,66 +60,33 @@ class ServerTxnManager {
 
   const VersionedStore& store() const { return store_; }
 
-  /// The F-Matrix after every commit so far. Logically const: with commit
-  /// batching enabled this flushes the pending cycle batch first (observing
-  /// the matrix forces the queued maintenance), which is why the accessor
-  /// const_casts internally; callers must not invoke it concurrently with
-  /// ExecuteAndCommit (the engines only read it in the server's exclusive
-  /// phase).
-  const FMatrix& f_matrix() const {
-    const_cast<ServerTxnManager*>(this)->FlushCommitBatch();
-    return f_matrix_;
-  }
+  /// The control matrix after every commit so far. Logically const: the
+  /// control-matrix work of a cycle's commits is queued and folded in one
+  /// batch (ApplyCommitBatch, bit-identical to per-commit maintenance;
+  /// DESIGN.md §4g), and observing the matrix folds the pending batch
+  /// first, which is why the accessors const_cast internally. Callers must
+  /// not invoke them concurrently with ExecuteAndCommit (the engines only
+  /// read the matrix in the server's exclusive phase).
+  const ControlMatrix& control_matrix() const { return Folded().matrix(); }
+
+  /// The dense matrix; size 0 in sparse mode or without a matrix.
+  const FMatrix& f_matrix() const { return Folded().dense(); }
+  /// The sparse matrix, for its footprint metrics; size 0 in dense mode.
+  const SparseFMatrix& sparse_matrix() const { return Folded().sparse(); }
+
   const McVector& mc_vector() const { return mc_vector_; }
 
-  /// The sparse control matrix (options.maintain_sparse_matrix); flushes the
-  /// pending batch like f_matrix(). Size-0 matrix when not maintained.
-  const SparseFMatrix& sparse_f_matrix() const {
-    const_cast<ServerTxnManager*>(this)->FlushCommitBatch();
-    return sparse_f_matrix_;
-  }
-
-  /// Stable snapshot of the sparse matrix for the cycle's CycleSnapshot:
-  /// O(n) shared-pointer copies, payloads shared with the live matrix.
-  std::shared_ptr<const SparseFMatrix> SnapshotSparseFMatrix() const {
-    auto snap = std::make_shared<SparseFMatrix>(sparse_f_matrix());
-    snap->DisableDirtyTracking();
-    return snap;
-  }
+  /// The control matrix as broadcast this cycle: a snapshot sharing every
+  /// column unchanged since the previous one (O(n * touched columns) dense,
+  /// O(n) pointer copies sparse). Empty without a matrix.
+  ControlSnapshot SnapshotControl() const { return Folded().Snapshot(); }
 
   /// Wraparound-horizon compaction of the sparse matrix (sparse mode with
   /// use_wire_codec only; see SparseFMatrix::CompactModulo for the
-  /// conservative-safety argument). Flushes the pending batch first. Returns
-  /// the number of entries dropped.
+  /// conservative-safety argument). Returns the number of entries dropped.
   uint64_t CompactSparseMatrix(const CycleStampCodec& codec, Cycle current) {
     FlushCommitBatch();
-    return sparse_f_matrix_.CompactModulo(codec, current);
-  }
-
-  /// Copy-on-write snapshot of the F-Matrix after every commit so far
-  /// (flushes the pending batch like f_matrix()). O(n * touched columns)
-  /// per cycle in steady state.
-  FMatrixSnapshot SnapshotFMatrix() const { return f_matrix().Snapshot(); }
-
-  /// Drains the control-matrix columns rewritten by commits since the last
-  /// drain (options.track_dirty_columns must be set; drains the sparse
-  /// matrix's list when it is maintained, the dense one's otherwise — the
-  /// orders are identical by construction). Called once per broadcast cycle
-  /// by the delta broadcaster.
-  std::vector<ObjectId> TakeTouchedColumns() {
-    FlushCommitBatch();
-    return options_.maintain_sparse_matrix ? sparse_f_matrix_.TakeTouchedColumns()
-                                           : f_matrix_.TakeTouchedColumns();
-  }
-
-  /// Capacity-preserving variant (see FMatrix::DrainTouchedColumns).
-  void DrainTouchedColumns(std::vector<ObjectId>& out) {
-    FlushCommitBatch();
-    if (options_.maintain_sparse_matrix) {
-      sparse_f_matrix_.DrainTouchedColumns(out);
-    } else {
-      f_matrix_.DrainTouchedColumns(out);
-    }
+    return control_.sparse().CompactModulo(codec, current);
   }
 
   /// Pooled-apply mode: route the cycle-batch F-Matrix fold through `runner`
@@ -154,21 +108,24 @@ class ServerTxnManager {
   size_t num_committed() const { return num_committed_; }
 
  private:
-  /// Applies the queued cycle batch to the F-Matrix (no-op when empty).
+  /// Applies the queued cycle batch to the control matrix (no-op when
+  /// empty).
   void FlushCommitBatch();
+  const ControlPlane& Folded() const {
+    const_cast<ServerTxnManager*>(this)->FlushCommitBatch();
+    return control_;
+  }
 
   TxnManagerOptions options_;
   VersionedStore store_;
-  FMatrix f_matrix_;
-  SparseFMatrix sparse_f_matrix_;
+  ControlPlane control_;
   McVector mc_vector_;
   History history_;
   std::unordered_map<TxnId, Cycle> commit_cycles_;
   size_t num_committed_ = 0;
   Cycle last_cycle_ = 0;
 
-  // Pending cycle batch (options.batch_commit_maintenance): the first
-  // `batch_size_` elements of `batch_` hold the read/write sets of this
+  // Pending cycle batch: the first `batch_size_` elements of `batch_` hold the read/write sets of this
   // cycle's not-yet-applied commits; slots are reused across cycles so the
   // steady-state path does not allocate.
   std::vector<CommitSets> batch_;

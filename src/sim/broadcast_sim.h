@@ -99,9 +99,9 @@ class BroadcastSim {
     std::vector<ObjectVersion> values;
   };
 
-  // Delta-mode per-cycle plumbing: drains the dirty columns into this
-  // cycle's DeltaControl and feeds it to every client's tracker (directly,
-  // or through the receivers in channel mode).
+  // Delta-mode per-cycle plumbing: diffs this cycle's snapshot against the
+  // previous one into its DeltaControl and feeds it to every client's
+  // tracker (directly, or through the receivers in channel mode).
   void AttachAndObserveDelta();
 
   // Sparse end-of-cycle control-plane step, run when cycle `ending`
@@ -129,10 +129,8 @@ class BroadcastSim {
   std::vector<std::unique_ptr<ClientTxn>> clients_;
   std::optional<FrameCodec> frame_codec_;   // channel mode
   std::unique_ptr<LossyChannel> channel_;   // channel mode
-  // Per-cycle scratch reused across cycles so steady-state cycles allocate
-  // nothing: drained dirty columns (delta mode) and the encoded frame vector
-  // with its per-frame byte buffers (channel mode).
-  std::vector<ObjectId> touched_scratch_;
+  // The encoded frame vector with its per-frame byte buffers, reused across
+  // cycles so steady-state cycles allocate nothing (channel mode).
   std::vector<Frame> frame_scratch_;
   SimMetrics metrics_;
   Tracer* tracer_ = nullptr;        // not owned; null = tracing off
@@ -162,8 +160,8 @@ struct RunRecord {
   const AbortBreakdown& abort_causes;
 };
 
-/// The comparison every differential check shares (the DES variants below
-/// and CrossCheckEngines): value-equal control matrices across
+/// The comparison every differential check shares (CrossCheck and
+/// CrossCheckEngines): value-equal control matrices across
 /// representations, equal MC vectors, stores and commit counts, equal abort
 /// breakdowns and identical per-client decision logs. Returns Internal
 /// naming the first divergence.
@@ -175,39 +173,20 @@ Status CompareRuns(const RunRecord& a, const RunRecord& b);
 /// every client's transaction stream; record_decisions is forced on.
 Status PrepareCrossCheck(SimConfig& config, const char* name);
 
-/// Runs `config` twice — once with full-matrix control broadcast, once in
-/// snapshot+delta mode — and verifies identical per-client commit/abort
-/// decisions, identical server state, and the delta run's reconstruction
-/// invariant (VerifyDeltaTrackers). Also checks the delta run never shipped
-/// more control bits than the full-matrix baseline. `config` is taken as the
-/// delta-mode run (delta_broadcast is forced on, record_decisions forced on);
-/// requires stop_after_cycles > 0 for a timing-independent cutoff. Returns
-/// Internal with a description of the first divergence.
-Status CrossCheckDeltaBroadcast(SimConfig config);
-
-/// Runs `config` twice — once with the direct in-process handoff, once with
-/// the broadcast channel at all fault rates forced to 0 — and verifies that
-/// the channel path is bit-exact with the direct path: identical per-client
-/// decision logs, identical server state, and an identical summary in every
-/// non-channel field. Works for both full and delta control modes (set
-/// config.delta_broadcast accordingly). record_decisions is forced on;
-/// requires stop_after_cycles > 0 for a timing-independent cutoff. Returns
-/// Internal with a description of the first divergence.
-Status CrossCheckLossless(SimConfig config);
-
-/// Runs `config` twice — once with the dense control matrix, once with
-/// matrix_mode=sparse — and verifies the sparse representation is
-/// bit-exact: identical per-client decision logs, identical server stores,
-/// value-identical control matrices (sparse vs dense oracle), and an
-/// identical summary in every decision-relevant field. Works with delta
-/// broadcast and the lossy channel enabled (the sparse run reuses the same
-/// seeded loss pattern because frames are byte-identical). Rejects
-/// sparse_compaction_period > 0: compaction aliases stale entries upward and
-/// the server's dependency fold mixes them with in-window values, so a
-/// compacted run is conservative-safe (audited by VerifyOracle), not
-/// bit-identical. record_decisions is forced on; requires
-/// stop_after_cycles > 0. `config` is taken as the sparse run.
-Status CrossCheckSparseMode(SimConfig config);
+/// The DES differential harness: runs `a` and `b` — two configurations that
+/// must decide identically, e.g. dense vs sparse matrix, full vs delta
+/// control, direct handoff vs a lossless channel — and verifies identical
+/// per-client decision logs, server state and summaries (CompareRuns, and
+/// every non-channel, non-matrix summary field; the delta accounting fields
+/// only when both sides use the same control mode). Per side: a delta run
+/// must pass VerifyDeltaTrackers and ship no more control bits than the
+/// full-matrix baseline, and a channel with every fault rate at 0 must
+/// report no drop, rejection, loss or stall. Both configs get the
+/// PrepareCrossCheck cutoff (stop_after_cycles > 0 required). Rejects
+/// sparse_compaction_period > 0 on either side: compaction is
+/// conservative-safe (audited by VerifyOracle), not decision-identical.
+/// Returns Internal naming the first divergence.
+Status CrossCheck(SimConfig a, SimConfig b);
 
 }  // namespace bcc
 

@@ -19,21 +19,11 @@ ClientTxn::ClientTxn(const SimConfig& config, const BroadcastSchedule& schedule,
     cache_ = std::make_unique<QuasiCache>(config.cache_capacity, config.cache_currency_bound);
   }
   if (config.delta_broadcast) {
-    // In sparse direct mode the tracker reconstructs a SparseFMatrix
-    // (refreshes adopt the snapshot's shared columns); channel-mode trackers
-    // stay dense — they rebuild from on-air bytes, which are byte-identical
-    // regardless of the server's representation.
-    const bool sparse_tracker =
-        config.matrix_mode == MatrixMode::kSparse && !config.channel_broadcast;
-    tracker_ = std::make_unique<DeltaMatrixTracker>(
-        config.num_objects, CycleStampCodec(config.timestamp_bits), sparse_tracker);
+    tracker_ = std::make_unique<DeltaMatrixTracker>(config.num_objects,
+                                                    CycleStampCodec(config.timestamp_bits));
     // All F-family validation reads the locally reconstructed matrix from
     // here on; reads stall while the tracker is unusable.
-    if (sparse_tracker) {
-      protocol_.set_sparse_control_override(&tracker_->sparse_matrix());
-    } else {
-      protocol_.set_control_override(&tracker_->matrix());
-    }
+    protocol_.set_control_override(&tracker_->matrix());
   }
   if (config.channel_broadcast) {
     receiver_ = std::make_unique<ChannelReceiver>(
@@ -159,7 +149,8 @@ const ClientEvent& ClientTxn::Read(const CycleSnapshot& snap) {
     entry.cycle = snap.cycle;
     entry.cached_time = next_.time;
     if (snap.f_matrix.num_objects() > 0) {
-      const std::span<const Cycle> col = snap.f_matrix.Column(ob);
+      std::vector<Cycle> scratch;
+      const std::span<const Cycle> col = snap.f_matrix.Column(ob, scratch);
       entry.column.assign(col.begin(), col.end());
     }
     if (snap.mc_vector.num_objects() > 0) entry.mc_entry = snap.mc_vector.At(ob);

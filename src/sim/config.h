@@ -14,13 +14,8 @@
 
 namespace bcc {
 
-/// Server-side control-matrix representation (ROADMAP item 4, DESIGN.md §4l).
-enum class MatrixMode {
-  kDense,   ///< the paper's n x n FMatrix — the bit-exactness oracle
-  kSparse,  ///< compressed-sparse-column SparseFMatrix, value-identical to
-            ///< dense; O(nnz) maintenance/diffing, sparse control accounting
-};
-
+/// The --matrix spelling of a representation (MatrixMode lives in
+/// matrix/control_matrix.h; DESIGN.md §4l).
 std::string_view MatrixModeName(MatrixMode mode);
 
 /// All knobs of the Section 4 simulation. Defaults are Table 1; time values
@@ -104,7 +99,7 @@ struct SimConfig {
   /// pages and control info from their receiver's reassembly instead of the
   /// in-process snapshot. Requires kFMatrix, ungrouped, the wire codec, no
   /// cache, and read-only clients. With all fault rates 0 the decision logs
-  /// are bit-exact with the direct path (CrossCheckLossless).
+  /// are bit-exact with the direct path (CrossCheck).
   bool channel_broadcast = false;
   uint64_t channel_frame_bits = 512;  ///< frame size incl. header + CRC
   double channel_loss_rate = 0.0;
@@ -119,7 +114,7 @@ struct SimConfig {
 
   /// Control-matrix representation. kSparse requires an F-family algorithm,
   /// ungrouped control, and no client cache; every decision stays
-  /// bit-identical to kDense (CrossCheckSparseMode). The sim_cli spelling is
+  /// bit-identical to kDense (CrossCheck). The sim_cli spelling is
   /// --matrix=dense|sparse|group:g, where group:g is sugar for kDense
   /// with num_groups = g (the fixed-g paper path; see ParseMatrixOption).
   MatrixMode matrix_mode = MatrixMode::kDense;

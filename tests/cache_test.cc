@@ -98,7 +98,8 @@ class CachedReadTest : public ::testing::Test {
     e.version = snap.values[ob];
     e.cycle = snap.cycle;
     e.cached_time = snap.start_time;
-    const auto col = snap.f_matrix.Column(ob);
+    std::vector<Cycle> scratch;
+    const auto col = snap.f_matrix.Column(ob, scratch);
     e.column.assign(col.begin(), col.end());
     e.mc_entry = snap.mc_vector.At(ob);
     return e;

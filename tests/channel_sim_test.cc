@@ -37,6 +37,20 @@ SimConfig SmallChannelConfig() {
 // Lossless bit-exactness
 // ---------------------------------------------------------------------------
 
+// The direct in-process handoff vs the broadcast channel with every fault
+// rate forced to 0.
+Status CrossCheckLossless(const SimConfig& config) {
+  SimConfig direct = config;
+  direct.channel_broadcast = false;
+  SimConfig channel = config;
+  channel.channel_broadcast = true;
+  channel.channel_loss_rate = 0;
+  channel.channel_corrupt_rate = 0;
+  channel.channel_truncate_rate = 0;
+  channel.channel_burst = false;
+  return CrossCheck(direct, channel);
+}
+
 TEST(ChannelLosslessTest, FullModeChannelIsBitExactWithDirectHandoff) {
   for (uint64_t seed : {3u, 17u, 4242u}) {
     SimConfig config = SmallChannelConfig();

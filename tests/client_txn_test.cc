@@ -70,7 +70,7 @@ TEST(ClientTxnTest, AbortAttributionPrefersLossThenDesyncThenTheProtocol) {
 
 TEST(ClientTxnTest, CheckReadStallInDirectMode) {
   EXPECT_EQ(CheckReadStall(nullptr, nullptr, 0, 1), ReadStall::kNone);
-  DeltaMatrixTracker tracker(4, CycleStampCodec(8), /*sparse=*/false);
+  DeltaMatrixTracker tracker(4, CycleStampCodec(8));
   // A tracker that has never observed a control block cannot vouch for any
   // cycle.
   EXPECT_EQ(CheckReadStall(&tracker, nullptr, 0, 1), ReadStall::kDeltaDesync);

@@ -76,7 +76,7 @@ inline CycleSnapshot CorpusSnapshot(CorpusMode mode, unsigned ts_bits, uint64_t 
   for (int k = 0; k < 400; ++k) stamps[rng.NextBounded(stamps.size())] = kCorpusCycle - 1;
   const FMatrix cur = CorpusMatrix(stamps);
   if (mode == CorpusMode::kFullSparse) {
-    snap.sparse_f_matrix = std::make_shared<const SparseFMatrix>(SparseFMatrix::FromDense(cur));
+    snap.f_matrix = SparseFMatrix::FromDense(cur);
     return snap;
   }
   snap.f_matrix = cur.Snapshot();

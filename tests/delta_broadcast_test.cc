@@ -23,7 +23,7 @@ namespace {
 TEST(DeltaBroadcasterTest, FirstCycleIsAScheduledRefresh) {
   DeltaBroadcaster b(4, CycleStampCodec(8), /*refresh_period=*/5);
   FMatrix m(4);
-  const DeltaControl ctl = b.BuildControl(m, {}, 1);
+  const DeltaControl ctl = b.BuildControl(m.Snapshot(), 1);
   EXPECT_TRUE(ctl.full_refresh);
   EXPECT_TRUE(ctl.scheduled);
   EXPECT_TRUE(ctl.entries.empty());
@@ -35,12 +35,11 @@ TEST(DeltaBroadcasterTest, RefreshEveryPeriodCyclesAndDeltasBetween) {
   const CycleStampCodec codec(8);
   DeltaBroadcaster b(4, codec, /*refresh_period=*/3);
   FMatrix m(4);
-  m.EnableDirtyTracking();
   Cycle cycle = 1;
   std::vector<bool> refreshes;
   for (; cycle <= 9; ++cycle) {
     m.ApplyCommit({}, std::vector<ObjectId>{static_cast<ObjectId>(cycle % 4)}, cycle);
-    const DeltaControl ctl = b.BuildControl(m, m.TakeTouchedColumns(), cycle);
+    const DeltaControl ctl = b.BuildControl(m.Snapshot(), cycle);
     refreshes.push_back(ctl.full_refresh);
     EXPECT_LE(ctl.control_bits, ctl.full_bits) << "cycle " << cycle;
     if (!ctl.full_refresh) {
@@ -58,8 +57,7 @@ TEST(DeltaBroadcasterTest, DeltaEntriesReconstructTheMatrix) {
   const uint32_t n = 6;
   DeltaBroadcaster b(n, codec, /*refresh_period=*/4);
   FMatrix server(n);
-  server.EnableDirtyTracking();
-  FMatrix client(n);
+  ControlSnapshot client;
   Rng rng(3);
   bool synced = false;
   for (Cycle cycle = 1; cycle <= 30; ++cycle) {
@@ -70,12 +68,13 @@ TEST(DeltaBroadcasterTest, DeltaEntriesReconstructTheMatrix) {
           rng.SampleWithoutReplacement(n, 1 + static_cast<uint32_t>(rng.NextBounded(2)));
       server.ApplyCommit(reads, writes, cycle);
     }
-    const DeltaControl ctl = b.BuildControl(server, server.TakeTouchedColumns(), cycle);
+    const ControlSnapshot on_air = server.Snapshot();
+    const DeltaControl ctl = b.BuildControl(on_air, cycle);
     if (ctl.full_refresh) {
-      client = server;
+      client = on_air;
       synced = true;
     } else if (synced) {
-      DeltaCodec::Apply(&client, ctl.entries, codec, cycle);
+      client = DeltaCodec::Apply(client, ctl.entries, codec, cycle);
     }
     // Within the codec window (cycle <= 255 here) decode is exact, so the
     // reconstruction must be bit-identical, not just congruent.
@@ -90,24 +89,23 @@ TEST(DeltaBroadcasterTest, AdaptiveRefreshWhenDeltaWouldNotBeatFullMatrix) {
   const CycleStampCodec codec(8);
   DeltaBroadcaster b(2, codec, /*refresh_period=*/100);
   FMatrix m(2);
-  m.EnableDirtyTracking();
-  (void)b.BuildControl(m, {}, 1);  // initial scheduled refresh
+  (void)b.BuildControl(m.Snapshot(), 1);  // initial scheduled refresh
   m.ApplyCommit({}, std::vector<ObjectId>{0}, 2);
-  const DeltaControl ctl = b.BuildControl(m, m.TakeTouchedColumns(), 2);
+  const DeltaControl ctl = b.BuildControl(m.Snapshot(), 2);
   EXPECT_TRUE(ctl.full_refresh);
   EXPECT_FALSE(ctl.scheduled);
   EXPECT_EQ(ctl.control_bits, ctl.full_bits);
   // At n = 2 even an empty delta's 32-bit header ties the full matrix, so
   // quiet cycles also refresh (>= threshold). With a bigger matrix a quiet
   // cycle ships only the header.
-  const DeltaControl tiny_quiet = b.BuildControl(m, {}, 3);
+  const DeltaControl tiny_quiet = b.BuildControl(m.Snapshot(), 3);
   EXPECT_TRUE(tiny_quiet.full_refresh);
   EXPECT_EQ(tiny_quiet.control_bits, tiny_quiet.full_bits);
 
   DeltaBroadcaster big(4, codec, /*refresh_period=*/100);
   FMatrix m4(4);
-  (void)big.BuildControl(m4, {}, 1);
-  const DeltaControl quiet = big.BuildControl(m4, {}, 2);
+  (void)big.BuildControl(m4.Snapshot(), 1);
+  const DeltaControl quiet = big.BuildControl(m4.Snapshot(), 2);
   EXPECT_FALSE(quiet.full_refresh);
   EXPECT_TRUE(quiet.entries.empty());
   EXPECT_EQ(quiet.control_bits, 32u);
@@ -134,7 +132,7 @@ TEST(DeltaMatrixTrackerTest, StartsDesyncedAndSyncsOnRefresh) {
 
   FMatrix on_air(3);
   on_air.Set(1, 2, 4);
-  tracker.Observe(MakeRefresh(5, 3, 8), on_air);
+  tracker.Observe(MakeRefresh(5, 3, 8), on_air.Snapshot());
   EXPECT_TRUE(tracker.synced());
   EXPECT_EQ(tracker.last_sync(), 5u);
   EXPECT_FALSE(tracker.Unusable(5));
@@ -145,13 +143,13 @@ TEST(DeltaMatrixTrackerTest, AppliesContiguousDeltasAndDesyncsOnGaps) {
   const CycleStampCodec codec(8);
   DeltaMatrixTracker tracker(3, codec);
   FMatrix on_air(3);
-  tracker.Observe(MakeRefresh(1, 3, 8), on_air);
+  tracker.Observe(MakeRefresh(1, 3, 8), on_air.Snapshot());
 
   DeltaControl delta;
   delta.cycle = 2;
   delta.base_cycle = 1;
   delta.entries = {{0, 1, codec.Encode(2)}};
-  tracker.Observe(delta, on_air);
+  tracker.Observe(delta, {});
   EXPECT_TRUE(tracker.synced());
   EXPECT_EQ(tracker.last_sync(), 2u);
   EXPECT_EQ(tracker.matrix().At(0, 1), 2u);
@@ -161,7 +159,7 @@ TEST(DeltaMatrixTrackerTest, AppliesContiguousDeltasAndDesyncsOnGaps) {
   gap.cycle = 4;
   gap.base_cycle = 3;
   gap.entries = {{0, 0, codec.Encode(4)}};
-  tracker.Observe(gap, on_air);
+  tracker.Observe(gap, {});
   EXPECT_FALSE(tracker.synced());
   EXPECT_TRUE(tracker.Unusable(4));
   EXPECT_EQ(tracker.matrix().At(0, 0), 0u) << "a gapped delta must not be applied";
@@ -170,11 +168,11 @@ TEST(DeltaMatrixTrackerTest, AppliesContiguousDeltasAndDesyncsOnGaps) {
   DeltaControl next;
   next.cycle = 5;
   next.base_cycle = 4;
-  tracker.Observe(next, on_air);
+  tracker.Observe(next, {});
   EXPECT_FALSE(tracker.synced());
 
   // ...until a refresh arrives.
-  tracker.Observe(MakeRefresh(6, 3, 8), on_air);
+  tracker.Observe(MakeRefresh(6, 3, 8), on_air.Snapshot());
   EXPECT_TRUE(tracker.synced());
   EXPECT_EQ(tracker.last_sync(), 6u);
 }
@@ -187,19 +185,19 @@ TEST(DeltaMatrixTrackerTest, DuplicatedAndStaleDeltasAreIgnoredWhileSynced) {
   const CycleStampCodec codec(8);
   DeltaMatrixTracker tracker(3, codec);
   FMatrix on_air(3);
-  tracker.Observe(MakeRefresh(4, 3, 8), on_air);
+  tracker.Observe(MakeRefresh(4, 3, 8), on_air.Snapshot());
 
   DeltaControl delta;
   delta.cycle = 5;
   delta.base_cycle = 4;
   delta.entries = {{1, 2, codec.Encode(5)}};
-  tracker.Observe(delta, on_air);
+  tracker.Observe(delta, {});
   ASSERT_TRUE(tracker.synced());
   ASSERT_EQ(tracker.last_sync(), 5u);
   ASSERT_EQ(tracker.matrix().At(1, 2), 5u);
 
   // Exact duplicate of the delta just applied: ignored, still synced.
-  tracker.Observe(delta, on_air);
+  tracker.Observe(delta, {});
   EXPECT_TRUE(tracker.synced());
   EXPECT_EQ(tracker.last_sync(), 5u);
   EXPECT_EQ(tracker.matrix().At(1, 2), 5u);
@@ -209,7 +207,7 @@ TEST(DeltaMatrixTrackerTest, DuplicatedAndStaleDeltasAreIgnoredWhileSynced) {
   stale.cycle = 3;
   stale.base_cycle = 2;
   stale.entries = {{1, 2, codec.Encode(2)}};
-  tracker.Observe(stale, on_air);
+  tracker.Observe(stale, {});
   EXPECT_TRUE(tracker.synced());
   EXPECT_EQ(tracker.last_sync(), 5u);
   EXPECT_EQ(tracker.matrix().At(1, 2), 5u) << "a stale delta must never lower a stamp";
@@ -219,7 +217,7 @@ TEST(DeltaMatrixTrackerTest, DuplicatedAndStaleDeltasAreIgnoredWhileSynced) {
   next.cycle = 6;
   next.base_cycle = 5;
   next.entries = {{0, 0, codec.Encode(6)}};
-  tracker.Observe(next, on_air);
+  tracker.Observe(next, {});
   EXPECT_TRUE(tracker.synced());
   EXPECT_EQ(tracker.last_sync(), 6u);
   EXPECT_EQ(tracker.matrix().At(0, 0), 6u);
@@ -230,14 +228,14 @@ TEST(DeltaMatrixTrackerTest, StaleRefreshWhileSyncedIsIgnored) {
   DeltaMatrixTracker tracker(3, codec);
   FMatrix current(3);
   current.Set(0, 1, 7);
-  tracker.Observe(MakeRefresh(7, 3, 8), current);
+  tracker.Observe(MakeRefresh(7, 3, 8), current.Snapshot());
   ASSERT_TRUE(tracker.synced());
   ASSERT_EQ(tracker.matrix().At(0, 1), 7u);
 
   // A replayed refresh from cycle 2 carries older stamps; applying it would
   // be exactly the false-acceptance hazard. It must be dropped.
   FMatrix old(3);
-  tracker.Observe(MakeRefresh(2, 3, 8), old);
+  tracker.Observe(MakeRefresh(2, 3, 8), old.Snapshot());
   EXPECT_TRUE(tracker.synced());
   EXPECT_EQ(tracker.last_sync(), 7u);
   EXPECT_EQ(tracker.matrix().At(0, 1), 7u);
@@ -245,7 +243,7 @@ TEST(DeltaMatrixTrackerTest, StaleRefreshWhileSyncedIsIgnored) {
   // A fresh refresh still wins.
   FMatrix newer(3);
   newer.Set(0, 1, 9);
-  tracker.Observe(MakeRefresh(9, 3, 8), newer);
+  tracker.Observe(MakeRefresh(9, 3, 8), newer.Snapshot());
   EXPECT_TRUE(tracker.synced());
   EXPECT_EQ(tracker.last_sync(), 9u);
   EXPECT_EQ(tracker.matrix().At(0, 1), 9u);
@@ -254,7 +252,7 @@ TEST(DeltaMatrixTrackerTest, StaleRefreshWhileSyncedIsIgnored) {
 TEST(DeltaMatrixTrackerTest, BeyondDecodeWindowGuard) {
   DeltaMatrixTracker tracker(2, CycleStampCodec(3));  // window: 7 cycles
   FMatrix on_air(2);
-  tracker.Observe(MakeRefresh(10, 2, 3), on_air);
+  tracker.Observe(MakeRefresh(10, 2, 3), on_air.Snapshot());
   EXPECT_FALSE(tracker.BeyondDecodeWindow(17));  // 17 - 10 == max_cycles
   EXPECT_TRUE(tracker.BeyondDecodeWindow(18));
   EXPECT_TRUE(tracker.Unusable(18));
@@ -280,6 +278,15 @@ SimConfig SmallDeltaConfig() {
   config.stop_after_cycles = 60;
   config.delta_refresh_period = 8;
   return config;
+}
+
+// Full-matrix control vs snapshot+delta control on one configuration.
+Status CrossCheckDeltaBroadcast(const SimConfig& config) {
+  SimConfig full = config;
+  full.delta_broadcast = false;
+  SimConfig delta = config;
+  delta.delta_broadcast = true;
+  return CrossCheck(full, delta);
 }
 
 TEST(DeltaParityTest, FullAndDeltaBroadcastDecideIdentically) {

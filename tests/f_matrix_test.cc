@@ -133,38 +133,15 @@ TEST(FMatrixTest, SelfWriteSetsDiagonalAndCrossEntries) {
   EXPECT_EQ(c.At(2, 0), 0u);
 }
 
-TEST(FMatrixTest, DirtyTrackingRecordsExactlyWrittenColumns) {
-  FMatrix c(5);
-  c.EnableDirtyTracking();
-  EXPECT_TRUE(c.dirty_tracking_enabled());
-  EXPECT_TRUE(c.touched_columns().empty());
-
-  c.ApplyCommit(std::vector<ObjectId>{0}, std::vector<ObjectId>{1, 3}, 2);
-  c.ApplyCommit({}, std::vector<ObjectId>{3, 4}, 3);
-  c.ApplyCommit(std::vector<ObjectId>{2}, {}, 4);  // read-only: no columns
-
-  // Each touched column once, in first-touch order.
-  const std::vector<ObjectId> expect = {1, 3, 4};
-  EXPECT_EQ(std::vector<ObjectId>(c.touched_columns().begin(), c.touched_columns().end()),
-            expect);
-
-  EXPECT_EQ(c.TakeTouchedColumns(), expect);
-  EXPECT_TRUE(c.touched_columns().empty());
-
-  // The drain resets membership: the same columns register again.
-  c.ApplyCommit({}, std::vector<ObjectId>{3}, 5);
-  EXPECT_EQ(c.TakeTouchedColumns(), std::vector<ObjectId>{3});
-}
-
-TEST(FMatrixTest, DirtyTrackingCoversEveryChangedEntry) {
-  // Soundness of the column-granular dirty list: every entry that differs
-  // across a batch of commits lies in a recorded column.
+TEST(FMatrixTest, SnapshotSharesOnlyUnchangedColumns) {
+  // Soundness of the snapshot-pair delta diff: while the previous snapshot
+  // is held, every column holding an entry that changed since it gets a new
+  // page in the next snapshot, so skipping shared pages never drops a change.
   Rng rng(77);
   FMatrix c(8);
-  c.EnableDirtyTracking();
+  FMatrixSnapshot prev = c.Snapshot();
   Cycle cycle = 1;
   for (int step = 0; step < 40; ++step, ++cycle) {
-    FMatrix before = c;
     const uint32_t commits = static_cast<uint32_t>(rng.NextBounded(3));
     for (uint32_t t = 0; t < commits; ++t) {
       const auto reads = rng.SampleWithoutReplacement(8, static_cast<uint32_t>(rng.NextBounded(3)));
@@ -172,15 +149,16 @@ TEST(FMatrixTest, DirtyTrackingCoversEveryChangedEntry) {
           rng.SampleWithoutReplacement(8, 1 + static_cast<uint32_t>(rng.NextBounded(3)));
       c.ApplyCommit(reads, writes, cycle);
     }
-    const std::vector<ObjectId> touched = c.TakeTouchedColumns();
+    const FMatrixSnapshot cur = c.Snapshot();
     for (ObjectId j = 0; j < 8; ++j) {
       bool col_changed = false;
-      for (ObjectId i = 0; i < 8; ++i) col_changed |= before.At(i, j) != c.At(i, j);
+      for (ObjectId i = 0; i < 8; ++i) col_changed |= prev.At(i, j) != cur.At(i, j);
       if (col_changed) {
-        EXPECT_TRUE(std::find(touched.begin(), touched.end(), j) != touched.end())
-            << "changed column " << j << " missing from the dirty list at step " << step;
+        EXPECT_NE(prev.ColumnPage(j), cur.ColumnPage(j))
+            << "changed column " << j << " kept its page at step " << step;
       }
     }
+    prev = cur;
   }
 }
 

@@ -1,6 +1,6 @@
 // SparseFMatrix vs dense FMatrix oracle: the sparse form is a representation
-// change only, so every observable — At, read-condition scans, dirty-column
-// drains, batch application — must be bit-identical to the dense matrix fed
+// change only, so every observable — At, read-condition scans, column
+// views, delta diffs, batch application — must be bit-identical to the dense matrix fed
 // the same commit stream (including ts in {2, 3} wraparound regimes where
 // absolute cycles far exceed the codec window).
 
@@ -129,24 +129,6 @@ TEST(SparseFMatrixTest, ReadConditionScanMatchesDenseKernel) {
   }
 }
 
-TEST(SparseFMatrixTest, DirtyTrackingMatchesDenseFirstTouchOrder) {
-  for (uint32_t seed = 0; seed < kSeeds; ++seed) {
-    Rng rng(200 + seed);
-    const uint32_t n = 10 + static_cast<uint32_t>(rng.NextBounded(20));
-    Pair pair(n);
-    pair.dense.EnableDirtyTracking();
-    pair.sparse.EnableDirtyTracking();
-    std::vector<ObjectId> got, want;
-    for (Cycle cycle = 1; cycle <= 30; ++cycle) {
-      const uint32_t commits = 1 + static_cast<uint32_t>(rng.NextBounded(4));
-      for (uint32_t c = 0; c < commits; ++c) pair.RandomCommit(rng, cycle, 5);
-      pair.dense.DrainTouchedColumns(want);
-      pair.sparse.DrainTouchedColumns(got);
-      ASSERT_EQ(got, want) << "seed " << seed << " cycle " << cycle;
-    }
-  }
-}
-
 TEST(SparseFMatrixTest, BatchApplicationIsBitIdenticalToSequential) {
   for (uint32_t seed = 0; seed < 5; ++seed) {
     Rng rng(300 + seed);
@@ -206,7 +188,6 @@ TEST(SparseFMatrixTest, CompactModuloPreservesResiduesAndDecodes) {
       for (Cycle cycle = 1; cycle <= last; ++cycle) pair.RandomCommit(rng, cycle, 4);
 
       SparseFMatrix compacted = pair.sparse;
-      compacted.EnableDirtyTracking();
       const uint64_t nnz_before = compacted.nnz();
       const uint64_t dropped = compacted.CompactModulo(codec, last);
       EXPECT_EQ(compacted.nnz() + dropped, nnz_before);
@@ -275,33 +256,32 @@ TEST(SparseWireTest, DiffColumnsMatchesDenseOracle) {
       Rng rng(600 + seed);
       const uint32_t n = 8 + static_cast<uint32_t>(rng.NextBounded(10));
       Pair pair(n);
-      pair.dense.EnableDirtyTracking();
-      pair.sparse.EnableDirtyTracking();
-      FMatrix prev_dense(n);
-      SparseFMatrix prev_sparse(n);
-      std::vector<ObjectId> touched_dense, touched_sparse;
+      ControlSnapshot prev_dense = pair.dense.Snapshot();
+      ControlSnapshot prev_sparse = pair.sparse;
+      // Client-side reconstructions of both, folded from the deltas.
+      ControlSnapshot recon_dense = prev_dense;
+      ControlSnapshot recon_sparse = prev_sparse;
       for (Cycle cycle = 1; cycle <= 30; ++cycle) {
         const uint32_t commits = 1 + static_cast<uint32_t>(rng.NextBounded(3));
         for (uint32_t c = 0; c < commits; ++c) pair.RandomCommit(rng, cycle, 4);
-        pair.dense.DrainTouchedColumns(touched_dense);
-        pair.sparse.DrainTouchedColumns(touched_sparse);
-        ASSERT_EQ(touched_dense, touched_sparse);
-        const auto want =
-            DeltaCodec::DiffColumns(prev_dense, pair.dense, touched_dense, codec);
-        const auto got =
-            DeltaCodec::DiffColumns(prev_sparse, pair.sparse, touched_sparse, codec);
+        const ControlSnapshot cur_dense = pair.dense.Snapshot();
+        const ControlSnapshot cur_sparse = pair.sparse;
+        const auto want = DeltaCodec::DiffColumns(prev_dense, cur_dense, codec);
+        const auto got = DeltaCodec::DiffColumns(prev_sparse, cur_sparse, codec);
         ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " cycle " << cycle;
         for (size_t k = 0; k < want.size(); ++k) {
           ASSERT_EQ(got[k].row, want[k].row);
           ASSERT_EQ(got[k].col, want[k].col);
           ASSERT_EQ(got[k].residue, want[k].residue);
         }
-        // Fold the delta into both bases via the two Apply overloads; the
-        // bases must stay value-identical (at small ts the decode aliases,
-        // identically on both sides).
-        DeltaCodec::Apply(&prev_dense, want, codec, cycle);
-        DeltaCodec::Apply(&prev_sparse, got, codec, cycle);
-        ASSERT_TRUE(prev_sparse == prev_dense) << "seed " << seed << " cycle " << cycle;
+        // Fold the delta into both reconstructions; they must stay
+        // value-identical (at small ts the decode aliases, identically on
+        // both sides).
+        recon_dense = DeltaCodec::Apply(recon_dense, want, codec, cycle);
+        recon_sparse = DeltaCodec::Apply(recon_sparse, got, codec, cycle);
+        ASSERT_TRUE(recon_sparse == recon_dense) << "seed " << seed << " cycle " << cycle;
+        prev_dense = cur_dense;
+        prev_sparse = cur_sparse;
       }
     }
   }
@@ -309,14 +289,13 @@ TEST(SparseWireTest, DiffColumnsMatchesDenseOracle) {
 
 TEST(SparseWireTest, ApplyHandlesDuplicateEntriesLastWins) {
   const CycleStampCodec codec(8);
-  FMatrix dense(4);
-  SparseFMatrix sparse(4);
   const std::vector<DeltaCodec::Entry> entries = {
       {1, 2, codec.Encode(5)}, {1, 2, codec.Encode(9)}, {3, 2, codec.Encode(7)}};
-  DeltaCodec::Apply(&dense, entries, codec, 10);
-  DeltaCodec::Apply(&sparse, entries, codec, 10);
+  const ControlSnapshot dense = DeltaCodec::Apply(FMatrix(4).Snapshot(), entries, codec, 10);
+  const ControlSnapshot sparse = DeltaCodec::Apply(SparseFMatrix(4), entries, codec, 10);
   EXPECT_TRUE(sparse == dense);
   EXPECT_EQ(sparse.At(1, 2), 9u);
+  EXPECT_EQ(dense.At(1, 2), 9u);
 }
 
 TEST(SparseWireTest, PackMatrixByteIdenticalToDense) {
@@ -335,7 +314,8 @@ TEST(SparseFMatrixTest, MaterializeColumnMatchesDense) {
   for (Cycle cycle = 1; cycle <= 25; ++cycle) pair.RandomCommit(rng, cycle, 4);
   std::vector<Cycle> got;
   for (ObjectId j = 0; j < 14; ++j) {
-    pair.sparse.MaterializeColumn(j, got);
+    const Cycle* view = pair.sparse.Column(j, got).data();
+    ASSERT_EQ(view, got.data()) << "a sparse column materializes into the scratch";
     const std::span<const Cycle> want = pair.dense.Column(j);
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end())) << "col " << j;
   }

@@ -13,6 +13,7 @@
 #include "cc/update_consistency.h"
 #include "cc/view_serializability.h"
 #include "common/rng.h"
+#include "per_commit_oracle.h"
 #include "server/exec/txn_processor.h"
 #include "server/mc_overlay.h"
 #include "server/txn_manager.h"
@@ -60,9 +61,7 @@ TEST(TxnProcessorPropertyTest, AllSchemesSerializableAndBitIdenticalToOracle) {
       Rng rng(seed * 7919 + static_cast<uint64_t>(scheme));
       TxnProcessor proc(kNumObjects, scheme, /*num_workers=*/4);
       ServerTxnManager folded(kNumObjects);  // cycle-fused ApplyCommitBatch path
-      TxnManagerOptions oracle_options;
-      oracle_options.batch_commit_maintenance = false;
-      ServerTxnManager oracle(kNumObjects, oracle_options);
+      PerCommitOracle oracle(kNumObjects);
 
       std::vector<CommittedServerTxn> all;
       TxnId next_id = 1;
@@ -163,10 +162,8 @@ TEST(TxnProcessorPropertyTest, MixedClientsMatchDecisionAndStateOracles) {
       Rng rng(seed * 6271 + static_cast<uint64_t>(scheme));
       TxnProcessor proc(kNumObjects, scheme, /*num_workers=*/4);
       ServerTxnManager folded(kNumObjects);
-      TxnManagerOptions eager_options;
-      eager_options.batch_commit_maintenance = false;
-      ServerTxnManager eager(kNumObjects, eager_options);
-      ServerTxnManager oracle(kNumObjects, eager_options);
+      ServerTxnManager eager(kNumObjects);
+      PerCommitOracle oracle(kNumObjects);
 
       McOverlay overlay(kNumObjects);
       std::vector<ServerTxn> pending_uplinks;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cc/conflict_serializability.h"
+#include "per_commit_oracle.h"
 #include "server/txn_manager.h"
 
 namespace bcc {
@@ -27,14 +28,12 @@ ServerTxn MakeTxn(TxnId id, std::vector<ObjectId> reads, std::vector<ObjectId> w
   return t;
 }
 
-/// Replays the committed order through a fresh per-commit-maintenance
-/// manager and checks the batched fold produced bit-identical server state.
+/// Replays the committed order through the per-commit maintenance oracle
+/// and checks the batched fold produced bit-identical server state.
 void ExpectMatchesSequentialOracle(uint32_t num_objects,
                                    const std::vector<CommittedServerTxn>& committed) {
   ServerTxnManager folded(num_objects);  // batched ApplyCommitBatch path
-  TxnManagerOptions oracle_options;
-  oracle_options.batch_commit_maintenance = false;
-  ServerTxnManager oracle(num_objects, oracle_options);
+  PerCommitOracle oracle(num_objects);
   FoldIntoManager(committed, folded, /*cycle=*/1);
   for (const CommittedServerTxn& c : committed) oracle.ExecuteAndCommit(c.txn, /*cycle=*/1);
   EXPECT_TRUE(folded.f_matrix() == oracle.f_matrix());

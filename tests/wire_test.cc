@@ -70,7 +70,8 @@ TEST(DeltaCodecTest, ApplyReconstructsMatrix) {
   const CycleStampCodec codec(8);
   Rng rng(17);
   const uint32_t n = 6;
-  FMatrix server(n), client(n);
+  FMatrix server(n);
+  ControlSnapshot client = FMatrix(n).Snapshot();
   Cycle cycle = 1;
   for (int step = 0; step < 30; ++step, ++cycle) {
     FMatrix before = server;
@@ -79,7 +80,7 @@ TEST(DeltaCodecTest, ApplyReconstructsMatrix) {
         rng.SampleWithoutReplacement(n, 1 + static_cast<uint32_t>(rng.NextBounded(2)));
     server.ApplyCommit(reads, writes, cycle);
     const auto diff = DeltaCodec::Diff(before, server, codec);
-    DeltaCodec::Apply(&client, diff, codec, cycle);
+    client = DeltaCodec::Apply(client, diff, codec, cycle);
     ASSERT_TRUE(client == server) << "diverged at step " << step;
   }
 }
@@ -108,17 +109,28 @@ TEST(DeltaCodecTest, EncodedBitsExactPowersOfTwo) {
   EXPECT_EQ(DeltaCodec::EncodedBits(1, 257, 8), 32u + (9 + 9 + 8));
 }
 
+void ExpectSameEntries(const std::vector<DeltaCodec::Entry>& fast,
+                       const std::vector<DeltaCodec::Entry>& oracle) {
+  ASSERT_EQ(fast.size(), oracle.size());
+  for (size_t k = 0; k < fast.size(); ++k) {
+    EXPECT_EQ(fast[k].row, oracle[k].row);
+    EXPECT_EQ(fast[k].col, oracle[k].col);
+    EXPECT_EQ(fast[k].residue, oracle[k].residue);
+  }
+}
+
 TEST(DeltaCodecTest, DiffColumnsMatchesFullScanOracleOnRandomHistories) {
-  // The dirty-list path must produce exactly the oracle's output (same
+  // The snapshot-pair path must produce exactly the oracle's output (same
   // entries, same order) on randomized commit histories, including cycles
   // with no commits and overlapping write sets.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     const CycleStampCodec codec(8);
     Rng rng(seed);
     const uint32_t n = 5 + static_cast<uint32_t>(rng.NextBounded(8));
     FMatrix server(n);
-    server.EnableDirtyTracking();
     FMatrix prev(n);
+    ControlSnapshot prev_snap = server.Snapshot();
     Cycle cycle = 1;
     for (int step = 0; step < 60; ++step, ++cycle) {
       const uint32_t commits = static_cast<uint32_t>(rng.NextBounded(4));  // may be 0
@@ -129,32 +141,40 @@ TEST(DeltaCodecTest, DiffColumnsMatchesFullScanOracleOnRandomHistories) {
             rng.SampleWithoutReplacement(n, 1 + static_cast<uint32_t>(rng.NextBounded(3)));
         server.ApplyCommit(reads, writes, cycle);
       }
-      const std::vector<ObjectId> touched = server.TakeTouchedColumns();
-      const auto fast = DeltaCodec::DiffColumns(prev, server, touched, codec);
-      const auto oracle = DeltaCodec::Diff(prev, server, codec);
-      ASSERT_EQ(fast.size(), oracle.size()) << "seed " << seed << " step " << step;
-      for (size_t k = 0; k < fast.size(); ++k) {
-        EXPECT_EQ(fast[k].row, oracle[k].row);
-        EXPECT_EQ(fast[k].col, oracle[k].col);
-        EXPECT_EQ(fast[k].residue, oracle[k].residue);
-      }
+      const ControlSnapshot cur_snap = server.Snapshot();
+      ExpectSameEntries(DeltaCodec::DiffColumns(prev_snap, cur_snap, codec),
+                        DeltaCodec::Diff(prev, server, codec));
       prev = server;
+      prev_snap = cur_snap;
     }
   }
 }
 
-TEST(DeltaCodecTest, DiffColumnsToleratesDuplicateAndUnsortedColumns) {
+TEST(DeltaCodecTest, DiffColumnsMatchesOracleAcrossRepresentations) {
+  // Dense vs sparse snapshots of the same matrices diff identically, in
+  // every pairing: sparse-sparse takes the merge walk, mixed pairs the dense
+  // column helper.
   const CycleStampCodec codec(8);
-  FMatrix prev(4), cur(4);
-  cur.ApplyCommit({}, std::vector<ObjectId>{1, 2}, 5);
-  const std::vector<ObjectId> touched = {2, 1, 2, 1, 1};
-  const auto fast = DeltaCodec::DiffColumns(prev, cur, touched, codec);
-  const auto oracle = DeltaCodec::Diff(prev, cur, codec);
-  ASSERT_EQ(fast.size(), oracle.size());
-  for (size_t k = 0; k < fast.size(); ++k) {
-    EXPECT_EQ(fast[k].row, oracle[k].row);
-    EXPECT_EQ(fast[k].col, oracle[k].col);
+  Rng rng(23);
+  const uint32_t n = 9;
+  FMatrix prev(n), cur(n);
+  for (Cycle cycle = 1; cycle <= 12; ++cycle) {
+    const auto reads = rng.SampleWithoutReplacement(n, 2);
+    const auto writes = rng.SampleWithoutReplacement(n, 2);
+    if (cycle < 10) prev.ApplyCommit(reads, writes, cycle);
+    cur.ApplyCommit(reads, writes, cycle);
   }
+  const auto oracle = DeltaCodec::Diff(prev, cur, codec);
+  ASSERT_FALSE(oracle.empty());
+  const ControlSnapshot dense_prev = prev.Snapshot();
+  const ControlSnapshot dense_cur = cur.Snapshot();
+  const ControlSnapshot sparse_prev = SparseFMatrix::FromDense(prev);
+  const ControlSnapshot sparse_cur = SparseFMatrix::FromDense(cur);
+  ExpectSameEntries(DeltaCodec::DiffColumns(dense_prev, dense_cur, codec), oracle);
+  ExpectSameEntries(DeltaCodec::DiffColumns(sparse_prev, sparse_cur, codec), oracle);
+  ExpectSameEntries(DeltaCodec::DiffColumns(dense_prev, sparse_cur, codec), oracle);
+  ExpectSameEntries(DeltaCodec::DiffColumns(sparse_prev, dense_cur, codec), oracle);
+  EXPECT_TRUE(DeltaCodec::DiffColumns(sparse_cur, sparse_cur, codec).empty());
 }
 
 TEST(WireFormatTest, UnpackStampsRejectsTrailingBytes) {
